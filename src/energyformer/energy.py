@@ -26,9 +26,6 @@ from scipy.special import logsumexp, spence, expit
 
 from .tensor import DimensionError, DomainError
 
-# phi(0) = -pi^2/12, the dilogarithm at -1
-PHI_AT_ZERO = -(np.pi**2) / 12.0
-
 
 def silu_antiderivative(z):
     """Antiderivative phi of silu with phi(-inf) = 0.

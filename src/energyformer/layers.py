@@ -7,6 +7,16 @@ context projections computed once and frozen across steps. At one step,
 identity preconditioner and inner norm off, they reduce exactly to the
 weight-tied reference layers.
 
+The reference layers are composed from tape primitives and serve as the
+tied-equivalence oracles. The recurrent layers are not: each recursion
+step (inner norm, projections, logits, softmax or silu read-out,
+preconditioner, eta) runs as plain numpy over all heads and records one
+tape node with a hand-written VJP. Only the frozen context projections
+(kv = h W_k^T, gate = h W^T) stay ordinary tape matmuls, computed once.
+The RMS norm and the preconditioner are numpy forward/VJP pairs shared
+by the fused steps and by their own one-node primitives. The composed
+form of the recurrent layers is kept under tests/ as their reference.
+
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
 (rows_out, D_h) and applied as h @ W.T.
@@ -17,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .tensor import (
     DimensionError,
@@ -25,12 +36,15 @@ from .tensor import (
     add,
     matmul,
     mul,
-    rsqrt,
+    record,
+    recording,
     silu,
+    silu_forward,
+    silu_vjp,
+    softmax_forward,
     softmax_lastdim,
-    softplus,
+    softmax_vjp,
     swap_last2,
-    tmean,
 )
 
 
@@ -41,6 +55,35 @@ def causal_mask(n: int) -> np.ndarray:
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = -np.inf
     return m
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over rows r of outer(a_r, b_r): the weight cotangent of rows @ W."""
+    return _rows(a).T @ _rows(b)
+
+
+def _check_width(what: str, shape: tuple[int, ...], want: tuple[int, ...]) -> None:
+    if shape != want:
+        raise DimensionError(f"{what} has shape {shape}, expected {want}")
+
+
+class _Cotangents:
+    """Cotangents keyed by input tensor, summed when one tensor feeds a
+    node twice (at step one the state x is the frozen context h)."""
+
+    def __init__(self):
+        self._by_id: dict[int, np.ndarray] = {}
+
+    def add(self, t: Tensor, g) -> None:
+        prev = self._by_id.get(id(t))
+        self._by_id[id(t)] = g if prev is None else prev + g
+
+    def ordered(self, parents) -> tuple:
+        return tuple(self._by_id.pop(id(t), None) for t in parents)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +100,47 @@ class RmsNormParams:
             raise DomainError("rmsnorm eps must be positive")
 
 
+def rms_forward(x: np.ndarray, gain: np.ndarray, eps: float):
+    """(y * gain, y, r) with r = 1/sqrt(mean(x^2) + eps) per row, y = x * r."""
+    r = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    y = x * r
+    return y * gain, y, r
+
+
+def rms_vjp(g: np.ndarray, y: np.ndarray, r: np.ndarray, gain: np.ndarray):
+    """Cotangents (x, gain) of rms_forward, from its saved y and r:
+    g_x = r (g gain - y mean(g gain y))."""
+    gy = g * gain
+    g_x = y * (gy * y).mean(axis=-1, keepdims=True)
+    np.subtract(gy, g_x, out=g_x)
+    g_x *= r
+    return g_x, _rows(g * y).sum(axis=0)
+
+
 def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
-    """x * gain / sqrt(mean(x^2) + eps) along the last axis."""
-    ms = tmean(mul(x, x), axis=-1, keepdims=True)
-    return mul(mul(x, rsqrt(add(ms, params.eps))), params.gain)
+    """x * gain / sqrt(mean(x^2) + eps) along the last axis, one tape node."""
+    gain = params.gain.data
+    _check_width("rmsnorm gain", gain.shape, x.shape[-1:])
+    out, y, r = rms_forward(x.data, gain, params.eps)
+    return record(out, (x, params.gain), lambda g: rms_vjp(g, y, r, gain))
+
+
+def _normalised_state(x: np.ndarray, norm: RmsNormParams | None):
+    """(u, y, r): the state a recursion step reads, and what rms_vjp needs."""
+    if norm is None:
+        return x, None, None
+    return rms_forward(x, norm.gain.data, norm.eps)
+
+
+def _add_state_cotangent(grads: _Cotangents, x: Tensor, g_u: np.ndarray,
+                         norm: RmsNormParams | None, y, r) -> None:
+    """Route the cotangent of _normalised_state's u back to x and the gain."""
+    if norm is None:
+        grads.add(x, g_u)
+    else:
+        g_x, g_gain = rms_vjp(g_u, y, r, norm.gain.data)
+        grads.add(x, g_x)
+        grads.add(norm.gain, g_gain)
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +159,31 @@ class AlibiParams:
     b_self: Tensor
     b_cross: Tensor
 
-    def bias_matrix(self, n: int, head: int) -> Tensor:
-        eye = np.eye(n)
-        dist = -self.slopes[head] * np.abs(
+    def distance_bias(self, n: int, head: int) -> np.ndarray:
+        """The constant part, -slope_head * |i - j|, as an (n, n) array."""
+        return -self.slopes[head] * np.abs(
             np.arange(n)[:, None] - np.arange(n)[None, :]
         ).astype(np.float64)
+
+    def bias_matrix(self, n: int, head: int) -> Tensor:
+        eye = np.eye(n)
         return add(
-            Tensor(dist),
+            Tensor(self.distance_bias(n, head)),
             add(mul(Tensor(eye), self.b_self), mul(Tensor(1.0 - eye), self.b_cross)),
         )
+
+    def bias_arrays(self, n: int, n_heads: int) -> list[np.ndarray]:
+        """bias_matrix values for heads 0..n_heads-1, in plain numpy."""
+        eye = np.eye(n)
+        offsets = eye * self.b_self.data + (1.0 - eye) * self.b_cross.data
+        return [self.distance_bias(n, k) + offsets for k in range(n_heads)]
+
+    def offset_grads(self, g_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cotangents (b_self, b_cross) from a (..., n, n) bias cotangent."""
+        n = g_bias.shape[-1]
+        g = g_bias.reshape(-1, n, n).sum(axis=0)
+        eye = np.eye(n)
+        return np.sum(g * eye), np.sum(g * (1.0 - eye))
 
 
 # ---------------------------------------------------------------------------
@@ -135,25 +231,66 @@ def identity_preconditioner(dim: int) -> PreconditionerParams:
     return PreconditionerParams(kind="identity", dim=dim)
 
 
-def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
-    """Apply P to rows of g without forming the (dim, dim) matrix.
+def _check_preconditioner_dim(params: PreconditionerParams, dim: int) -> None:
+    if params.kind != "identity" and dim != params.dim:
+        raise DimensionError(
+            f"preconditioner dim {params.dim} does not match state dim {dim}"
+        )
 
-    identity returns g itself, bit-exact. The diagonal factor is
-    softplus-positive; the low-rank part is the symmetric pair
-    (g u) v.T + (g v) u.T.
+
+def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
+    """P applied to rows of g without forming the (dim, dim) matrix.
+
+    identity returns g itself. The diagonal factor is softplus(sqrt(dim)
+    p); the low-rank part is the symmetric pair (g u) v.T + (g v) u.T.
     """
     if params.kind == "identity":
         return g
-    if g.shape[-1] != params.dim:
-        raise DimensionError(
-            f"preconditioner dim {params.dim} does not match state dim {g.shape[-1]}"
-        )
-    scale = float(np.sqrt(params.dim))
-    out = mul(g, softplus(mul(params.p, scale)))
+    out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))
     if params.kind == "diag_lowrank":
-        out = add(out, matmul(matmul(g, params.u), swap_last2(params.v)))
-        out = add(out, matmul(matmul(g, params.v), swap_last2(params.u)))
+        u, v = params.u.data, params.v.data
+        out += (g @ u) @ v.T
+        out += (g @ v) @ u.T
     return out
+
+
+def precondition_vjp(c: np.ndarray, g: np.ndarray, params: PreconditionerParams):
+    """Cotangents (g, p, u, v) of precondition at g; None for absent factors."""
+    if params.kind == "identity":
+        return c, None, None, None
+    scale = float(np.sqrt(params.dim))
+    arg = params.p.data * scale
+    g_g = c * np.logaddexp(0.0, arg)
+    g_p = _rows(c * g).sum(axis=0) * expit(arg) * scale
+    if params.kind == "diagonal":
+        return g_g, g_p, None, None
+    # with uv = [u | v]: c uv = [cu | cv], g uv = [gu | gv], and
+    # g_g += cv u^T + cu v^T, g_u = g^T cv + c^T gv, g_v = g^T cu + c^T gu
+    rank = params.u.shape[1]
+    uv = np.concatenate([params.u.data, params.v.data], axis=1)
+    vu = np.concatenate([params.v.data, params.u.data], axis=1)
+    c_uv = c @ uv
+    g_g += c_uv @ vu.T
+    both = _outer_rows(g, c_uv) + _outer_rows(c, g @ uv)
+    return g_g, g_p, both[:, rank:], both[:, :rank]
+
+
+def _preconditioner_tensors(params: PreconditionerParams) -> tuple[Tensor, ...]:
+    """The traced factors in precondition_vjp order: p, then u and v if present."""
+    return tuple(t for t in (params.p, params.u, params.v) if t is not None)
+
+
+def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
+    """P applied to rows of a traced g, one tape node; identity returns g itself."""
+    if params.kind == "identity":
+        return g
+    _check_preconditioner_dim(params, g.shape[-1])
+    parents = (g, *_preconditioner_tensors(params))
+    return record(
+        precondition(g.data, params),
+        parents,
+        lambda c: precondition_vjp(c, g.data, params)[: len(parents)],
+    )
 
 
 def materialize_preconditioner(params: PreconditionerParams) -> np.ndarray:
@@ -312,42 +449,139 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
     Keys and values are the same tied projection of the frozen input h,
     computed once. Each step re-projects the current (optionally
     normalised) state into queries, attends causally, maps the read-out
-    back through w_q transposed, preconditions, and adds. Returns the
-    final state x_T for every position, shape of h.
+    back through w_q transposed, preconditions, and adds; it records one
+    tape node. Returns the final state x_T for every position, shape of h.
     """
-    n = h.shape[-2]
+    d, n = h.shape[-1], h.shape[-2]
+    for w_q, w_k in zip(params.w_q, params.w_k):
+        _check_width("w_q", w_q.shape, w_k.shape)
+    if params.diag is not None:
+        for t in params.diag:
+            _check_width("kq diagonal", t.shape, (d,))
+    if params.inner_norm is not None:
+        _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
+    for pc in params.precond or ():
+        _check_preconditioner_dim(pc, d)
     mask = causal_mask(n)
-    kv = [matmul(h, swap_last2(params.w_k[k])) for k in range(params.n_heads)]
-    bias = None
-    if params.alibi is not None:
-        bias = [params.alibi.bias_matrix(n, k) for k in range(params.n_heads)]
-    h_t = swap_last2(h)
-
+    bias = None if params.alibi is None else params.alibi.bias_arrays(n, params.n_heads)
+    kv = [matmul(h, swap_last2(w)) for w in params.w_k]
     x = h
     for _ in range(params.steps):
-        u = x if params.inner_norm is None else rmsnorm(x, params.inner_norm)
-        shared = None
-        if params.diag is not None and len(params.diag) == 1:
-            # one diagonal for all heads: compute its logit term once
-            shared = matmul(mul(u, params.diag[0]), h_t)
-        upd = None
-        for k in range(params.n_heads):
-            q = matmul(u, swap_last2(params.w_q[k]))
-            logits = matmul(q, swap_last2(kv[k]))
-            if shared is not None:
-                logits = add(logits, shared)
-            elif params.diag is not None:
-                logits = add(logits, matmul(mul(u, params.head_diag(k)), h_t))
-            logits = mul(logits, 1.0 / params.tau)
-            if bias is not None:
-                logits = add(logits, bias[k])
-            p = softmax_lastdim(logits, mask=mask)
-            delta = matmul(matmul(p, kv[k]), params.w_q[k])
-            if params.precond is not None:
-                delta = apply_preconditioner(delta, params.precond[k])
-            upd = delta if upd is None else add(upd, delta)
-        x = add(x, mul(upd, params.eta))
+        x = _attention_step(x, h, kv, mask, bias, params)
     return x
+
+
+def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
+                    bias: list[np.ndarray] | None, params: CemAttentionParams) -> Tensor:
+    """x + eta * sum_k P_k (softmax_k kv_k) w_q,k as one tape node.
+
+    The forward keeps the elementwise operations and their order from
+    the composed layer in tests/composed_reference.py, so both give the
+    same bits; in-place updates only spare the temporaries.
+    """
+    norm, diag, precond, alibi = params.inner_norm, params.diag, params.precond, params.alibi
+    eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
+    inv_tau = 1.0 / params.tau
+    parents = [x, h, *kv, *params.w_q, *(diag or ())]
+    if alibi is not None:
+        parents += [alibi.b_self, alibi.b_cross]
+    if norm is not None:
+        parents.append(norm.gain)
+    for pc in precond or ():
+        parents += _preconditioner_tensors(pc)
+    if isinstance(params.eta, Tensor):
+        parents.append(params.eta)
+    keep = recording(parents)  # off the tape, each head's arrays die with the head
+
+    xd, hd = x.data, h.data
+    u, y, r = _normalised_state(xd, norm)
+    h_t = np.swapaxes(hd, -1, -2)
+    shared = diag is not None and len(diag) == 1
+    if shared:
+        u_diag = u * diag[0].data
+        diag_logits = u_diag @ h_t
+    heads = []
+    upd = None
+    for k in range(params.n_heads):
+        w_q, kv_k = params.w_q[k].data, kv[k].data
+        q = u @ w_q.T
+        logits = q @ np.swapaxes(kv_k, -1, -2)
+        ud = None
+        if shared:
+            logits += diag_logits
+        elif diag is not None:
+            ud = u * diag[k].data
+            logits += ud @ h_t
+        logits *= inv_tau
+        if bias is not None:
+            logits += bias[k]
+        p = softmax_forward(logits, mask)
+        del logits
+        read = p @ kv_k
+        pre = read @ w_q
+        delta = pre if precond is None else precondition(pre, precond[k])
+        if upd is None:
+            # may alias the first head's pre, which the VJP reads back only
+            # for a non-identity preconditioner, whose delta is a new array
+            upd = delta
+        else:
+            upd += delta
+        if keep:
+            heads.append((w_q, kv_k, q, p, read, pre, ud))
+        del q, p, read, pre, ud  # before the next head allocates its own
+    out = upd * eta
+    out += xd  # xd + upd * eta: addition commutes exactly
+
+    def vjp(c):
+        grads = _Cotangents()
+        grads.add(x, c)
+        if isinstance(params.eta, Tensor):
+            grads.add(params.eta, np.sum(c * upd))
+        g_upd = c * eta
+        g_u = g_diag_logits = None
+        for k, (w_q, kv_k, q, p, read, pre, ud) in enumerate(heads):
+            g_delta = g_upd
+            if precond is not None:
+                g_delta, *g_factors = precondition_vjp(g_upd, pre, precond[k])
+                for t, g in zip(_preconditioner_tensors(precond[k]), g_factors):
+                    grads.add(t, g)
+            g_read = g_delta @ w_q.T
+            g_logits = softmax_vjp(g_read @ np.swapaxes(kv_k, -1, -2), p)
+            if alibi is not None:
+                g_self, g_cross = alibi.offset_grads(g_logits)
+                grads.add(alibi.b_self, g_self)
+                grads.add(alibi.b_cross, g_cross)
+            g_logits *= inv_tau
+            g_q = g_logits @ kv_k
+            grads.add(kv[k], np.swapaxes(p, -1, -2) @ g_read
+                      + np.swapaxes(g_logits, -1, -2) @ q)
+            grads.add(params.w_q[k], _outer_rows(read, g_delta) + _outer_rows(g_q, u))
+            g_uk = g_q @ w_q
+            if shared:
+                if g_diag_logits is None:
+                    g_diag_logits = g_logits
+                else:
+                    g_diag_logits += g_logits
+            elif diag is not None:
+                g_ud = g_logits @ hd
+                grads.add(diag[k], _rows(g_ud * u).sum(axis=0))
+                grads.add(h, np.swapaxes(g_logits, -1, -2) @ ud)
+                g_ud *= diag[k].data
+                g_uk += g_ud
+            if g_u is None:
+                g_u = g_uk
+            else:
+                g_u += g_uk
+        if shared:
+            g_ud = g_diag_logits @ hd
+            grads.add(diag[0], _rows(g_ud * u).sum(axis=0))
+            grads.add(h, np.swapaxes(g_diag_logits, -1, -2) @ u_diag)
+            g_ud *= diag[0].data
+            g_u += g_ud
+        _add_state_cotangent(grads, x, g_u, norm, y, r)
+        return grads.ordered(parents)
+
+    return record(out, tuple(parents), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +619,63 @@ def cem_mlp(h: Tensor, params: CemMlpParams) -> Tensor:
 
     The gate (w h) is computed once from the frozen input; each step
     gates silu(v u) with it, projects back through v.T, preconditions,
-    and adds. Returns the final state, same shape as h.
+    and adds; it records one tape node. Returns the final state, same
+    shape as h.
     """
+    d = h.shape[-1]
+    if params.inner_norm is not None:
+        _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
+    if params.precond is not None:
+        _check_preconditioner_dim(params.precond, d)
     gate = matmul(h, swap_last2(params.w))  # (..., D_m), frozen
     x = h
     for _ in range(params.steps):
-        u = x if params.inner_norm is None else rmsnorm(x, params.inner_norm)
-        z = silu(matmul(u, swap_last2(params.v)))
-        g = matmul(mul(gate, z), params.v)
-        if params.precond is not None:
-            g = apply_preconditioner(g, params.precond)
-        x = add(x, mul(g, params.eta))
+        x = _mlp_step(x, gate, params)
     return x
+
+
+def _mlp_step(x: Tensor, gate: Tensor, params: CemMlpParams) -> Tensor:
+    """x + eta * P (gate * silu(v u)) v as one tape node, in the composed
+    layer's arithmetic order."""
+    norm, precond = params.inner_norm, params.precond
+    eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
+    parents = [x, gate, params.v]
+    if norm is not None:
+        parents.append(norm.gain)
+    if precond is not None:
+        parents += _preconditioner_tensors(precond)
+    if isinstance(params.eta, Tensor):
+        parents.append(params.eta)
+
+    xd, v = x.data, params.v.data
+    u, y, r = _normalised_state(xd, norm)
+    a = u @ v.T
+    z, s = silu_forward(a)
+    if not recording(parents):
+        a = s = None  # no VJP will read them: free before the gate product
+    m = gate.data * z
+    pre = m @ v
+    step = pre if precond is None else precondition(pre, precond)
+    out = step * eta
+    out += xd  # xd + step * eta: addition commutes exactly
+
+    def vjp(c):
+        grads = _Cotangents()
+        grads.add(x, c)
+        if isinstance(params.eta, Tensor):
+            grads.add(params.eta, np.sum(c * step))
+        g_pre = c * eta
+        if precond is not None:
+            g_pre, *g_factors = precondition_vjp(g_pre, pre, precond)
+            for t, g in zip(_preconditioner_tensors(precond), g_factors):
+                grads.add(t, g)
+        g_m = g_pre @ v.T
+        grads.add(gate, g_m * z)
+        g_m *= gate.data
+        g_a = silu_vjp(g_m, a, s)
+        grads.add(params.v, _outer_rows(m, g_pre) + _outer_rows(g_a, u))
+        g_u = g_a @ v
+        _add_state_cotangent(grads, x, g_u, norm, y, r)
+        return grads.ordered(parents)
+
+    return record(out, tuple(parents), vjp)

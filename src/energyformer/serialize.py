@@ -17,6 +17,7 @@ byte is accounted for and that round-trips bit-exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -46,27 +47,48 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
     path.write_bytes(b"".join(chunks))
 
 
+class _Reader:
+    """Bounds-checked cursor over a container's bytes; slices are views."""
+
+    def __init__(self, buf: bytes, pos: int):
+        self.buf = memoryview(buf)
+        self.pos = pos
+
+    def take(self, n: int, what: str) -> memoryview:
+        end = self.pos + n
+        if end > len(self.buf):
+            raise FormatError(
+                f"truncated container: {what} needs {n} bytes at offset {self.pos}, "
+                f"{len(self.buf) - self.pos} left"
+            )
+        chunk = self.buf[self.pos : end]
+        self.pos = end
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a container; any malformed or truncated input raises FormatError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
-    pos = 4
-    (count,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
+    reader = _Reader(buf, len(MAGIC))
+    (count,) = reader.unpack("<I", "tensor count")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", buf, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}Q", buf, pos)
-        pos += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(buf, dtype="<f8", count=n, offset=pos).reshape(shape)
-        pos += 8 * n
-        out[name] = arr.astype(np.float64)  # owned, native-endian copy
-    if pos != len(buf):
-        raise FormatError(f"{len(buf) - pos} trailing bytes after last tensor")
+        (name_len,) = reader.unpack("<H", "name length")
+        try:
+            name = bytes(reader.take(name_len, "name")).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise FormatError(f"tensor name at offset {reader.pos - name_len} is not utf-8") from err
+        (ndim,) = reader.unpack("<B", f"rank of {name!r}")
+        shape = reader.unpack(f"<{ndim}Q", f"shape of {name!r}")
+        n = math.prod(shape)  # python ints: a garbled extent cannot wrap around
+        data = reader.take(8 * n, f"data of {name!r}")
+        # owned, native-endian copy
+        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+    if reader.pos != len(buf):
+        raise FormatError(f"{len(buf) - reader.pos} trailing bytes after last tensor")
     return out

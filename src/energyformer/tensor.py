@@ -1,9 +1,12 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
 A deliberately small op set: every primitive here has a hand-written
-backward rule, and everything differentiable in the package is composed
-from these. Gradients are exact up to float64 rounding; no numerical
-differentiation happens outside the verification oracles.
+backward rule. Most differentiable code in the package is composed from
+these; the exceptions are the fused layer primitives in layers.py
+(rmsnorm and one node per recurrent step), which build their own nodes
+through record() from the numpy forward/VJP helpers defined there and
+here (softmax, silu). Gradients are exact up to float64 rounding; no
+numerical differentiation happens outside the verification oracles.
 
 Recording is explicit: ops only build graph nodes while a Tape is
 active on the current thread, so inference code pays no tracing cost.
@@ -217,7 +220,22 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def recording(parents) -> bool:
+    """Whether record() would add a node for these parents, i.e. whether a
+    hand-written VJP needs the forward's intermediates kept."""
+    tape = _active_tape()
+    return tape is not None and any(
+        p.node is not None and p.node.tape is tape for p in parents
+    )
+
+
+def record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """Wrap out_data, adding a node if any parent is traced on the active tape.
+
+    vjp(g) maps the output cotangent to one cotangent per parent, in
+    order; None marks a parent that gets no gradient. Each returned
+    array must be fresh or owned by nothing else the caller keeps.
+    """
     tape = _active_tape()
     if tape is None:
         return Tensor(out_data)
@@ -262,7 +280,7 @@ def add(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:
@@ -273,7 +291,7 @@ def sub(a, b) -> Tensor:
     def vjp(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
-    return _record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -287,7 +305,7 @@ def mul(a, b) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def neg(a) -> Tensor:
@@ -296,7 +314,7 @@ def neg(a) -> Tensor:
     def vjp(g):
         return (-g,)
 
-    return _record(-a.data, (a,), vjp)
+    return record(-a.data, (a,), vjp)
 
 
 def matmul(a, b) -> Tensor:
@@ -317,7 +335,7 @@ def matmul(a, b) -> Tensor:
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
-    return _record(out, (a, b), vjp)
+    return record(out, (a, b), vjp)
 
 
 def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -328,7 +346,7 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     def vjp(g):
         return (np.transpose(g, inv),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def swap_last2(a) -> Tensor:
@@ -348,7 +366,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     def vjp(g):
         return (g.reshape(old),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +380,7 @@ def exp(a) -> Tensor:
     def vjp(g):
         return (g * out,)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def log(a) -> Tensor:
@@ -374,7 +392,7 @@ def log(a) -> Tensor:
     def vjp(g):
         return (g / a.data,)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def sigmoid(a) -> Tensor:
@@ -384,19 +402,34 @@ def sigmoid(a) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
+
+
+def silu_forward(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a * sigmoid(a), sigmoid(a)); the sigmoid feeds silu_vjp."""
+    s = _expit(a)
+    return a * s, s
+
+
+def silu_vjp(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g * silu'(a) = g * s (1 + a (1 - s)), built in one fresh array."""
+    out = 1.0 - s
+    out *= a
+    out += 1.0
+    out *= s
+    out *= g
+    return out
 
 
 def silu(a) -> Tensor:
     """x * sigmoid(x)."""
     a = _wrap(a)
-    s = _expit(a.data)
-    out = a.data * s
+    out, s = silu_forward(a.data)
 
     def vjp(g):
-        return (g * (s + a.data * s * (1.0 - s)),)
+        return (silu_vjp(g, a.data, s),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def softplus(a) -> Tensor:
@@ -407,7 +440,7 @@ def softplus(a) -> Tensor:
     def vjp(g):
         return (g * _expit(a.data),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def rsqrt(a) -> Tensor:
@@ -419,7 +452,7 @@ def rsqrt(a) -> Tensor:
     def vjp(g):
         return (-0.5 * g * out / a.data,)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -442,42 +475,57 @@ def _reduce_vjp(a: Tensor, axis, keepdims, scale: float):
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-    return _record(np.asarray(out), (a,), _reduce_vjp(a, axis, keepdims, 1.0))
+    return record(np.asarray(out), (a,), _reduce_vjp(a, axis, keepdims, 1.0))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.data.size if axis is None else a.data.size // max(out.size, 1)
-    return _record(np.asarray(out), (a,), _reduce_vjp(a, axis, keepdims, 1.0 / n))
+    return record(np.asarray(out), (a,), _reduce_vjp(a, axis, keepdims, 1.0 / n))
 
 
 # ---------------------------------------------------------------------------
 # softmax and indexing
 
 
-def softmax_lastdim(a, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along the last axis with optional additive mask.
+def softmax_forward(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Masked softmax along the last axis of a plain array.
 
     mask is a constant array broadcastable to a's shape; masked-out
     entries hold -inf and receive exactly zero probability and zero
     gradient. A row with every entry masked has no valid distribution
     and raises DomainError rather than returning NaN.
     """
-    a = _wrap(a)
-    z = a.data if mask is None else a.data + mask
+    # one fresh array, then in place: the same elementwise operations as
+    # exp(z - m) / sum, without a temporary per stage
+    z = a.copy() if mask is None else a + mask
     m = np.max(z, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise DomainError("softmax row is fully masked or non-finite")
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    out = e / s
+    z -= m
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cotangent of the softmax input, given its output out."""
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    grad = g - inner
+    grad *= out
+    return grad
+
+
+def softmax_lastdim(a, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax along the last axis with optional additive mask (see softmax_forward)."""
+    a = _wrap(a)
+    out = softmax_forward(a.data, mask)
 
     def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out,)
+        return (softmax_vjp(g, out),)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def gather_rows(table, idx: np.ndarray) -> Tensor:
@@ -495,7 +543,7 @@ def gather_rows(table, idx: np.ndarray) -> Tensor:
         np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
         return (gt,)
 
-    return _record(out, (table,), vjp)
+    return record(out, (table,), vjp)
 
 
 def take_along_lastdim(a, idx: np.ndarray) -> Tensor:
@@ -515,7 +563,7 @@ def take_along_lastdim(a, idx: np.ndarray) -> Tensor:
         np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
         return (ga,)
 
-    return _record(out, (a,), vjp)
+    return record(out, (a,), vjp)
 
 
 def stop_gradient(a) -> Tensor:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as md
-from .tensor import Tape, Tensor, clip_by_global_norm, global_norm
+from .tensor import Tape, Tensor, clip_by_global_norm
 
 
 class TrainingError(RuntimeError):
@@ -116,9 +116,23 @@ def adamw_step(
     state: AdamState,
     cfg: OptimConfig,
 ) -> float:
-    """One decoupled-decay Adam update in place; returns the LR used."""
-    if set(params) != set(state.m):
+    """One decoupled-decay Adam update in place; returns the LR used.
+
+    Every input is checked before anything is written, so a step that
+    raises TrainingError leaves params and state exactly as they were.
+    """
+    if not set(params) == set(state.m) == set(state.v):
         raise TrainingError("optimizer state does not match the parameter set")
+    if set(grads) != set(params):
+        raise TrainingError("gradients do not match the parameter set")
+    checked = {}
+    for name, p in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        if not g.shape == p.data.shape == state.m[name].shape == state.v[name].shape:
+            raise TrainingError(f"gradient or moment shape mismatch for {name}")
+        if not np.all(np.isfinite(g)):
+            raise TrainingError(f"non-finite gradient in {name}")
+        checked[name] = g
     state.t += 1
     # first update runs at schedule step 1, the last at total_steps, so
     # the final factor is the last rate actually applied
@@ -126,11 +140,7 @@ def adamw_step(
     b1c = 1.0 - cfg.beta1**state.t
     b2c = 1.0 - cfg.beta2**state.t
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise TrainingError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name}")
+        g = checked[name]
         m, v = state.m[name], state.v[name]
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
@@ -140,10 +150,6 @@ def adamw_step(
             p.data = p.data * (1.0 - lr * cfg.weight_decay)
         p.data = p.data - lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
     return lr
-
-
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return global_norm(grads)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

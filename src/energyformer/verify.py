@@ -45,13 +45,6 @@ def finite_diff_grad(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return g
 
 
-def finite_diff_directional(f, x: np.ndarray, v: np.ndarray, step: float = 1e-5) -> float:
-    """Central-difference directional derivative of f at x along v."""
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return (float(f(x + step * v)) - float(f(x - step * v))) / (2.0 * step)
-
-
 def rel_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-12) -> float:
     """Worst-case elementwise relative error with an absolute floor.
 
@@ -62,27 +55,6 @@ def rel_error(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-12) -> fl
     exact = np.asarray(exact, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(approx), np.abs(exact)), floor)
     return float(np.max(np.abs(approx - exact) / denom))
-
-
-@dataclass
-class GradCheckReport:
-    n_cases: int
-    worst_rel_error: float
-    tolerance: float
-    failures: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_rel_error <= self.tolerance and not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "n_cases": self.n_cases,
-            "worst_rel_error": self.worst_rel_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "failures": self.failures,
-        }
 
 
 # ---------------------------------------------------------------------------

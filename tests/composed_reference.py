@@ -1,0 +1,122 @@
+"""Composed-op reference for the fused recurrent layers.
+
+These are the recurrent attention and MLP layers, the RMS norm and the
+preconditioner as they stood before the package fused each recursion
+step into one tape node: every operation is a tape primitive, so their
+gradients come from the primitives' own backward rules. The fused
+layers in energyformer.layers must reproduce them to rounding, forward
+and backward (see test_fused.py).
+"""
+
+import numpy as np
+
+from energyformer.layers import (
+    CemAttentionParams,
+    CemMlpParams,
+    PreconditionerParams,
+    RmsNormParams,
+    causal_mask,
+)
+from energyformer.tensor import (
+    DimensionError,
+    Tensor,
+    add,
+    matmul,
+    mul,
+    rsqrt,
+    silu,
+    softmax_lastdim,
+    softplus,
+    swap_last2,
+    tmean,
+)
+
+
+def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
+    """x * gain / sqrt(mean(x^2) + eps) along the last axis."""
+    ms = tmean(mul(x, x), axis=-1, keepdims=True)
+    return mul(mul(x, rsqrt(add(ms, params.eps))), params.gain)
+
+
+def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
+    """Apply P to rows of g without forming the (dim, dim) matrix.
+
+    identity returns g itself, bit-exact. The diagonal factor is
+    softplus-positive; the low-rank part is the symmetric pair
+    (g u) v.T + (g v) u.T.
+    """
+    if params.kind == "identity":
+        return g
+    if g.shape[-1] != params.dim:
+        raise DimensionError(
+            f"preconditioner dim {params.dim} does not match state dim {g.shape[-1]}"
+        )
+    scale = float(np.sqrt(params.dim))
+    out = mul(g, softplus(mul(params.p, scale)))
+    if params.kind == "diag_lowrank":
+        out = add(out, matmul(matmul(g, params.u), swap_last2(params.v)))
+        out = add(out, matmul(matmul(g, params.v), swap_last2(params.u)))
+    return out
+
+
+def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
+    """Run the recurrent attention state update over a full sequence.
+
+    Keys and values are the same tied projection of the frozen input h,
+    computed once. Each step re-projects the current (optionally
+    normalised) state into queries, attends causally, maps the read-out
+    back through w_q transposed, preconditions, and adds. Returns the
+    final state x_T for every position, shape of h.
+    """
+    n = h.shape[-2]
+    mask = causal_mask(n)
+    kv = [matmul(h, swap_last2(params.w_k[k])) for k in range(params.n_heads)]
+    bias = None
+    if params.alibi is not None:
+        bias = [params.alibi.bias_matrix(n, k) for k in range(params.n_heads)]
+    h_t = swap_last2(h)
+
+    x = h
+    for _ in range(params.steps):
+        u = x if params.inner_norm is None else rmsnorm(x, params.inner_norm)
+        shared = None
+        if params.diag is not None and len(params.diag) == 1:
+            # one diagonal for all heads: compute its logit term once
+            shared = matmul(mul(u, params.diag[0]), h_t)
+        upd = None
+        for k in range(params.n_heads):
+            q = matmul(u, swap_last2(params.w_q[k]))
+            logits = matmul(q, swap_last2(kv[k]))
+            if shared is not None:
+                logits = add(logits, shared)
+            elif params.diag is not None:
+                logits = add(logits, matmul(mul(u, params.head_diag(k)), h_t))
+            logits = mul(logits, 1.0 / params.tau)
+            if bias is not None:
+                logits = add(logits, bias[k])
+            p = softmax_lastdim(logits, mask=mask)
+            delta = matmul(matmul(p, kv[k]), params.w_q[k])
+            if params.precond is not None:
+                delta = apply_preconditioner(delta, params.precond[k])
+            upd = delta if upd is None else add(upd, delta)
+        x = add(x, mul(upd, params.eta))
+    return x
+
+
+def cem_mlp(h: Tensor, params: CemMlpParams) -> Tensor:
+    """Run the recurrent MLP state update rowwise over (..., D_h).
+
+    The gate (w h) is computed once from the frozen input; each step
+    gates silu(v u) with it, projects back through v.T, preconditions,
+    and adds. Returns the final state, same shape as h.
+    """
+    gate = matmul(h, swap_last2(params.w))  # (..., D_m), frozen
+    x = h
+    for _ in range(params.steps):
+        u = x if params.inner_norm is None else rmsnorm(x, params.inner_norm)
+        z = silu(matmul(u, swap_last2(params.v)))
+        g = matmul(mul(gate, z), params.v)
+        if params.precond is not None:
+            g = apply_preconditioner(g, params.precond)
+        x = add(x, mul(g, params.eta))
+    return x

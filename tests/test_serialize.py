@@ -70,3 +70,26 @@ def test_trailing_bytes_raise(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(serialize.FormatError):
         serialize.load_tensors(path)
+
+
+def test_every_truncation_raises_format_error(tmp_path):
+    path = tmp_path / "t.bin"
+    serialize.save_tensors(path, {"a": np.arange(3.0), "bé": np.ones((2, 1)), "s": np.array(2.0)})
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(serialize.FormatError):
+            serialize.load_tensors(path)
+
+
+def test_garbled_name_and_extent_raise_format_error(tmp_path):
+    path = tmp_path / "t.bin"
+    serialize.save_tensors(path, {"ab": np.ones(2)})
+    raw = path.read_bytes()
+    name_at, extent_at = 4 + 4 + 2, 4 + 4 + 2 + 2 + 1
+    bad_name = raw[:name_at] + b"\xff\xfe" + raw[name_at + 2 :]
+    huge = raw[:extent_at] + (2**64 - 1).to_bytes(8, "little") + raw[extent_at + 8 :]
+    for garbled in (bad_name, huge):
+        path.write_bytes(garbled)
+        with pytest.raises(serialize.FormatError):
+            serialize.load_tensors(path)

@@ -17,7 +17,7 @@ from energyformer.model import (
     load_checkpoint,
     named_parameters,
 )
-from energyformer.tensor import Tensor
+from energyformer.tensor import Tensor, global_norm
 from energyformer.train import (
     AdamState,
     InterpolationError,
@@ -27,7 +27,6 @@ from energyformer.train import (
     akima_interpolate,
     clip_gradients,
     estimate_lr_optimum,
-    global_grad_norm,
     init_adam_state,
     lm_eval,
     lm_loss,
@@ -169,6 +168,35 @@ def test_non_finite_gradient_aborts():
         adamw_step(params, {"x": np.full((2, 2), np.nan)}, state, _constant_lr_cfg(0.1))
 
 
+def test_rejected_step_leaves_params_and_state_untouched():
+    # the NaN sits in the last gradient, after every other update would run
+    params = {name: Tensor(np.full((2, 2), float(i + 1))) for i, name in enumerate("abc")}
+    state = init_adam_state(params)
+    cfg = _constant_lr_cfg(0.1)
+    adamw_step(params, {n: np.full((2, 2), 0.5) for n in params}, state, cfg)
+    before = ({n: p.data.copy() for n, p in params.items()},
+              {n: m.copy() for n, m in state.m.items()},
+              {n: v.copy() for n, v in state.v.items()}, state.t)
+    grads = {n: np.full((2, 2), 0.25) for n in params}
+    grads["c"] = np.array([[0.25, 0.25], [0.25, np.nan]])
+    with pytest.raises(TrainingError, match="non-finite"):
+        adamw_step(params, grads, state, cfg)
+    assert state.t == before[3]
+    for name in params:
+        assert params[name].data.tobytes() == before[0][name].tobytes()
+        assert state.m[name].tobytes() == before[1][name].tobytes()
+        assert state.v[name].tobytes() == before[2][name].tobytes()
+
+
+def test_gradient_key_set_must_match_params():
+    params = {"x": Tensor(np.ones(2)), "y": Tensor(np.ones(2))}
+    state = init_adam_state(params)
+    for grads in ({"x": np.zeros(2)}, {"x": np.zeros(2), "y": np.zeros(2), "z": np.zeros(2)}):
+        with pytest.raises(TrainingError):
+            adamw_step(params, grads, state, _constant_lr_cfg(0.1))
+    assert state.t == 0
+
+
 def test_state_param_mismatch_rejected():
     params = {"x": Tensor(np.ones(2))}
     with pytest.raises(TrainingError):
@@ -179,7 +207,7 @@ def test_clip_scales_to_threshold():
     grads = {"a": np.full(8, 2.0), "b": np.full(2, 2.0)}  # norm = sqrt(40)
     norm = clip_gradients(grads, 1.0)
     assert norm == pytest.approx(np.sqrt(40.0))
-    assert global_grad_norm(grads) <= 1.0 + 1e-9
+    assert global_norm(grads) <= 1.0 + 1e-9
     small = {"a": np.array([0.1, 0.2])}
     kept = small["a"]
     clip_gradients(small, 1.0)
