@@ -64,6 +64,8 @@ TASKS = ("gp-regression", "lm-smoke", "verify", "lr-sweep", "count")
 OUT_ROOT_ENV = "ENERGYFORMER_OUT"
 
 GP_VARIANTS = ("plain", "gated", "cem-t1", "cem-t2")
+SEEDS_PROBLEM = "seeds: must be a non-empty list of non-negative integers"
+EVAL_WINDOWS = 64  # leading corpus windows held out of lm training for eval
 
 
 @dataclasses.dataclass
@@ -103,6 +105,8 @@ class ExperimentSpec:
             raise SpecError("task: required field is missing")
         kwargs = dict(payload)
         if "seeds" in kwargs:
+            if not isinstance(kwargs["seeds"], (list, tuple)):
+                raise SpecError(SEEDS_PROBLEM)
             kwargs["seeds"] = tuple(kwargs["seeds"])
         return cls(**kwargs)
 
@@ -113,7 +117,7 @@ class ExperimentSpec:
         if self.task not in TASKS:
             problems.append(f"task: must be one of {', '.join(TASKS)}; got {self.task!r}")
         if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
-            problems.append("seeds: must be a non-empty list of non-negative integers")
+            problems.append(SEEDS_PROBLEM)
         elif len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds: duplicate entries")
         for field in ("model", "optim", "data", "task_options"):
@@ -123,16 +127,17 @@ class ExperimentSpec:
             problems.append("out: must be a string path")
         if problems:
             raise SpecError("\n".join(problems))
-        # resolve the payloads now so a bad field fails before any work runs
+        # resolve the payloads now so a bad field fails before any work
+        # runs; a wrongly typed value surfaces as a TypeError in validation
         try:
             if self.model:
                 resolve_model_config(self.model)
-        except (ConfigError, SpecError) as exc:
+        except (ConfigError, SpecError, TypeError) as exc:
             raise SpecError(f"model: {exc}") from exc
         try:
             if self.optim:
                 resolve_optim_config(self.optim)
-        except (TrainingError, SpecError) as exc:
+        except (TrainingError, SpecError, TypeError) as exc:
             raise SpecError(f"optim: {exc}") from exc
         if self.task == "gp-regression":
             try:
@@ -344,16 +349,22 @@ def _lm_windows(spec: ExperimentSpec):
 
 def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimConfig):
     windows = _lm_windows(spec)
+    held_out, train = windows[:EVAL_WINDOWS], windows[EVAL_WINDOWS:]
+    if len(train) < ocfg.batch_size:
+        raise DataError(
+            f"corpus gives {len(windows)} windows; after holding out {len(held_out)} "
+            f"for eval, {len(train)} remain, fewer than batch_size {ocfg.batch_size}"
+        )
     model_payload = spec.model or {"preset": "lm-smoke"}
     model = build_model(resolve_model_config(model_payload), seed=seed)
-    stream = batch_iterator(windows, ocfg.batch_size, seed=seed)
+    stream = batch_iterator(train, ocfg.batch_size, seed=seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
     metrics = train_loop(
         model,
         stream,
         ocfg,
         loss_fn=lm_loss,
-        eval_fn=lambda m: lm_eval(m, windows[: min(len(windows), 64)]),
+        eval_fn=lambda m: lm_eval(m, held_out),
         log_every=max(1, ocfg.total_steps // 20),
         metrics_path=seed_dir / "metrics.jsonl",
         summary_csv_path=seed_dir / "summary.csv",

@@ -3,18 +3,20 @@
 Two conditional energies over a token state x given a context:
 
 * interaction energy: couples x to every earlier hidden state through
-  per-head bilinear forms, with a log-sum-exp over context positions at
-  temperature tau. Its negative gradient is a softmax-weighted sum of
-  projected context vectors, which is exactly the shape of a causal
-  attention read-out.
+  a sum of K head terms, each a log-sum-exp over context positions of a
+  bilinear form at temperature tau. Its negative gradient is a
+  softmax-weighted sum of projected context vectors per head, which is
+  exactly the shape of a causal multi-head attention read-out. The head
+  factors are (K, D_r, D_h) stacks, the layout the attention layers
+  store.
 
 * elementwise energy: couples x to its own hidden state through a pair
   of projections and the antiderivative of silu. Its negative gradient
   is a gated two-layer perceptron.
 
-Everything here is plain numpy on purpose: the recurrence layers are
-built independently on the autodiff tape, and tests require the two
-routes to agree to tight tolerances.
+Everything here is plain numpy on purpose and shares no code with the
+recurrent layers, whose steps run as fused tape nodes; tests require
+the two routes to agree to tight tolerances.
 """
 
 from __future__ import annotations
@@ -85,17 +87,18 @@ class AlibiSpec:
 class InteractionEnergySpec:
     """Per-head bilinear coupling for the interaction energy.
 
-    Heads are given either as explicit square matrices (`full`, one
-    (D_h, D_h) array per head, used as a test oracle) or factored as
+    Heads are given either as explicit square matrices (`full`, a
+    (K, D_h, D_h) stack, used as a test oracle) or factored as
     w_q[k].T @ w_k[k] with an optional diagonal term, which is the
-    production parameterization.
+    production parameterization. Every head field is indexed by head
+    along its first axis.
     """
 
     tau: float
-    w_q: tuple[np.ndarray, ...] | None = None  # per head (D_r, D_h)
-    w_k: tuple[np.ndarray, ...] | None = None
-    diag: tuple[np.ndarray, ...] | None = None  # per head (D_h,), optional
-    full: tuple[np.ndarray, ...] | None = None  # per head (D_h, D_h), oracle mode
+    w_q: np.ndarray | None = None  # (K, D_r, D_h)
+    w_k: np.ndarray | None = None  # (K, D_r, D_h)
+    diag: np.ndarray | None = None  # (K, D_h), optional
+    full: np.ndarray | None = None  # (K, D_h, D_h), oracle mode
     alibi: AlibiSpec | None = None
 
     def __post_init__(self):

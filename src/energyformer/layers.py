@@ -12,14 +12,19 @@ tied-equivalence oracles. The recurrent layers are not: each recursion
 step (inner norm, projections, logits, softmax or silu read-out,
 preconditioner, eta) runs as plain numpy over all heads and records one
 tape node with a hand-written VJP. Only the frozen context projections
-(kv = h W_k^T, gate = h W^T) stay ordinary tape matmuls, computed once.
+(kv = h W_k^T for all heads at once, gate = h W^T) stay ordinary tape
+matmuls, computed once.
 The RMS norm and the preconditioner are numpy forward/VJP pairs shared
 by the fused steps and by their own one-node primitives. The composed
 form of the recurrent layers is kept under tests/ as their reference.
 
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
-(rows_out, D_h) and applied as h @ W.T.
+(rows_out, D_h) and applied as h @ W.T. Attention keeps every head in
+one tensor: each projection is a (K, D_r, D_h) stack, applied to h
+reshaped to (..., 1, J, D_h) so that head projections come out as
+(..., K, J, D_r); the K/Q diagonal is (1, D_h) shared or (K, D_h), and
+the ALiBi bias is (K, J, J). Preconditioners stay one per head.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .tensor import (
     mul,
     record,
     recording,
+    reshape,
     silu,
     silu_forward,
     silu_vjp,
@@ -45,6 +51,7 @@ from .tensor import (
     softmax_lastdim,
     softmax_vjp,
     swap_last2,
+    tsum,
 )
 
 
@@ -159,24 +166,25 @@ class AlibiParams:
     b_self: Tensor
     b_cross: Tensor
 
-    def distance_bias(self, n: int, head: int) -> np.ndarray:
-        """The constant part, -slope_head * |i - j|, as an (n, n) array."""
-        return -self.slopes[head] * np.abs(
+    def distance_bias(self, n: int) -> np.ndarray:
+        """The constant part, -slope_k * |i - j|, as a (K, n, n) array."""
+        return -self.slopes[:, None, None] * np.abs(
             np.arange(n)[:, None] - np.arange(n)[None, :]
         ).astype(np.float64)
 
-    def bias_matrix(self, n: int, head: int) -> Tensor:
+    def bias_matrix(self, n: int) -> Tensor:
+        """The whole (K, n, n) bias, traced through the two offsets."""
         eye = np.eye(n)
         return add(
-            Tensor(self.distance_bias(n, head)),
+            Tensor(self.distance_bias(n)),
             add(mul(Tensor(eye), self.b_self), mul(Tensor(1.0 - eye), self.b_cross)),
         )
 
-    def bias_arrays(self, n: int, n_heads: int) -> list[np.ndarray]:
-        """bias_matrix values for heads 0..n_heads-1, in plain numpy."""
+    def bias_array(self, n: int) -> np.ndarray:
+        """bias_matrix values in plain numpy."""
         eye = np.eye(n)
         offsets = eye * self.b_self.data + (1.0 - eye) * self.b_cross.data
-        return [self.distance_bias(n, k) + offsets for k in range(n_heads)]
+        return self.distance_bias(n) + offsets
 
     def offset_grads(self, g_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cotangents (b_self, b_cross) from a (..., n, n) bias cotangent."""
@@ -309,49 +317,57 @@ def materialize_preconditioner(params: PreconditionerParams) -> np.ndarray:
 # reference layers
 
 
+def _check_heads(what: str, *stacks: Tensor) -> None:
+    shape = stacks[0].shape
+    if len(shape) != 3 or shape[0] == 0 or any(t.shape != shape for t in stacks):
+        raise DimensionError(
+            f"{what} must be matching (K, D_r, D_h) stacks with K >= 1, got "
+            f"{[t.shape for t in stacks]}"
+        )
+
+
+def _with_head_axis(h: Tensor) -> Tensor:
+    """(..., J, D_h) as (..., 1, J, D_h), to broadcast against (K, ., .) stacks."""
+    return reshape(h, h.shape[:-2] + (1,) + h.shape[-2:])
+
+
 @dataclass
 class ReferenceMhaParams:
-    """Untied multi-head causal attention, four matrices per head."""
+    """Untied multi-head causal attention, four (K, D_r, D_h) head stacks."""
 
-    w_q: tuple[Tensor, ...]  # each (D_r, D_h)
-    w_k: tuple[Tensor, ...]
-    w_v: tuple[Tensor, ...]
-    w_o: tuple[Tensor, ...]
+    w_q: Tensor
+    w_k: Tensor
+    w_v: Tensor
+    w_o: Tensor
     tau: float
     alibi: AlibiParams | None = None
 
     def __post_init__(self):
-        n = len(self.w_q)
-        if not (len(self.w_k) == len(self.w_v) == len(self.w_o) == n) or n == 0:
-            raise DimensionError("all four projection tuples need one matrix per head")
+        _check_heads("w_q, w_k, w_v and w_o", self.w_q, self.w_k, self.w_v, self.w_o)
         if self.tau <= 0.0:
             raise DomainError("tau must be positive")
 
     @property
     def n_heads(self) -> int:
-        return len(self.w_q)
+        return self.w_q.shape[0]
 
 
 def reference_mha(h: Tensor, params: ReferenceMhaParams) -> Tensor:
-    """Causal multi-head attention, summed over per-head output blocks.
+    """Causal multi-head attention, all heads at once, summed over heads.
 
-    Returns the attention read-out only (no residual): for each head,
-    softmax((q k.T)/tau + bias) v projected back with w_o.
+    Returns the attention read-out only (no residual): for each head k,
+    softmax((q_k key_k.T)/tau + bias_k) val_k projected back with w_o[k].
     """
     n = h.shape[-2]
-    mask = causal_mask(n)
-    out = None
-    for k in range(params.n_heads):
-        q = matmul(h, swap_last2(params.w_q[k]))   # (..., J, D_r)
-        key = matmul(h, swap_last2(params.w_k[k]))
-        val = matmul(h, swap_last2(params.w_v[k]))
-        logits = mul(matmul(q, swap_last2(key)), 1.0 / params.tau)
-        if params.alibi is not None:
-            logits = add(logits, params.alibi.bias_matrix(n, k))
-        p = softmax_lastdim(logits, mask=mask)
-        o = matmul(matmul(p, val), params.w_o[k])  # (..., J, D_h)
-        out = o if out is None else add(out, o)
-    return out
+    hk = _with_head_axis(h)
+    q = matmul(hk, swap_last2(params.w_q))  # (..., K, J, D_r)
+    key = matmul(hk, swap_last2(params.w_k))
+    val = matmul(hk, swap_last2(params.w_v))
+    logits = mul(matmul(q, swap_last2(key)), 1.0 / params.tau)
+    if params.alibi is not None:
+        logits = add(logits, params.alibi.bias_matrix(n))
+    p = softmax_lastdim(logits, mask=causal_mask(n))
+    return tsum(matmul(matmul(p, val), params.w_o), axis=-3)
 
 
 @dataclass
@@ -405,84 +421,80 @@ class CemAttentionParams:
 
     w_q doubles as the output projection (applied transposed) and w_k
     doubles as the value projection, so the parameter core is exactly
-    half a reference attention layer. diag optionally adds h_j D u_i
-    coupling to the logits, either one vector shared by all heads
-    (tuple of length 1) or one per head.
+    half a reference attention layer. Both hold every head as one
+    (K, D_r, D_h) stack. diag optionally adds h_j D u_i coupling to the
+    logits, either one (1, D_h) row shared by all heads or a (K, D_h)
+    row per head.
     """
 
-    w_q: tuple[Tensor, ...]  # each (D_r, D_h)
-    w_k: tuple[Tensor, ...]
+    w_q: Tensor
+    w_k: Tensor
     tau: float
     steps: int = 1
     eta: Tensor | float = 1.0
-    diag: tuple[Tensor, ...] | None = None
+    diag: Tensor | None = None
     precond: tuple[PreconditionerParams, ...] | None = None
     alibi: AlibiParams | None = None
     inner_norm: RmsNormParams | None = None
 
     def __post_init__(self):
-        n = len(self.w_q)
-        if n == 0 or len(self.w_k) != n:
-            raise DimensionError("w_q and w_k need one matrix per head")
+        _check_heads("w_q and w_k", self.w_q, self.w_k)
+        n = self.n_heads
         if self.tau <= 0.0:
             raise DomainError("tau must be positive")
         if self.steps < 1:
             raise DomainError("steps must be >= 1")
-        if self.diag is not None and len(self.diag) not in (1, n):
-            raise DimensionError("diag must have one vector total or one per head")
+        if self.diag is not None and (self.diag.ndim != 2 or self.diag.shape[0] not in (1, n)):
+            raise DimensionError("diag must be one (1, D_h) row total or a (K, D_h) row per head")
         if self.precond is not None and len(self.precond) != n:
             raise DimensionError("precond needs one entry per head")
 
     @property
     def n_heads(self) -> int:
-        return len(self.w_q)
-
-    def head_diag(self, k: int) -> Tensor | None:
-        if self.diag is None:
-            return None
-        return self.diag[0] if len(self.diag) == 1 else self.diag[k]
+        return self.w_q.shape[0]
 
 
 def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
     """Run the recurrent attention state update over a full sequence.
 
     Keys and values are the same tied projection of the frozen input h,
-    computed once. Each step re-projects the current (optionally
-    normalised) state into queries, attends causally, maps the read-out
-    back through w_q transposed, preconditions, and adds; it records one
-    tape node. Returns the final state x_T for every position, shape of h.
+    computed once for all heads. Each step re-projects the current
+    (optionally normalised) state into queries, attends causally, maps
+    the read-out back through w_q transposed, preconditions, and adds;
+    it records one tape node. Returns the final state x_T for every
+    position, shape of h.
     """
     d, n = h.shape[-1], h.shape[-2]
-    for w_q, w_k in zip(params.w_q, params.w_k):
-        _check_width("w_q", w_q.shape, w_k.shape)
     if params.diag is not None:
-        for t in params.diag:
-            _check_width("kq diagonal", t.shape, (d,))
+        _check_width("kq diagonal", params.diag.shape[1:], (d,))
     if params.inner_norm is not None:
         _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
     for pc in params.precond or ():
         _check_preconditioner_dim(pc, d)
     mask = causal_mask(n)
-    bias = None if params.alibi is None else params.alibi.bias_arrays(n, params.n_heads)
-    kv = [matmul(h, swap_last2(w)) for w in params.w_k]
+    bias = None if params.alibi is None else params.alibi.bias_array(n)
+    kv = matmul(_with_head_axis(h), swap_last2(params.w_k))  # (..., K, J, D_r)
     x = h
     for _ in range(params.steps):
         x = _attention_step(x, h, kv, mask, bias, params)
     return x
 
 
-def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
-                    bias: list[np.ndarray] | None, params: CemAttentionParams) -> Tensor:
+def _attention_step(x: Tensor, h: Tensor, kv: Tensor, mask: np.ndarray,
+                    bias: np.ndarray | None, params: CemAttentionParams) -> Tensor:
     """x + eta * sum_k P_k (softmax_k kv_k) w_q,k as one tape node.
 
     The forward keeps the elementwise operations and their order from
     the composed layer in tests/composed_reference.py, so both give the
-    same bits; in-place updates only spare the temporaries.
+    same bits; in-place updates only spare the temporaries. Heads run
+    one at a time: batching their logits was slower on long sequences.
     """
     norm, diag, precond, alibi = params.inner_norm, params.diag, params.precond, params.alibi
     eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
     inv_tau = 1.0 / params.tau
-    parents = [x, h, *kv, *params.w_q, *(diag or ())]
+    parents = [x, h, kv, params.w_q]
+    if diag is not None:
+        parents.append(diag)
     if alibi is not None:
         parents += [alibi.b_self, alibi.b_cross]
     if norm is not None:
@@ -493,24 +505,24 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
         parents.append(params.eta)
     keep = recording(parents)  # off the tape, each head's arrays die with the head
 
-    xd, hd = x.data, h.data
+    xd, hd, w_q, kvd = x.data, h.data, params.w_q.data, kv.data
     u, y, r = _normalised_state(xd, norm)
     h_t = np.swapaxes(hd, -1, -2)
-    shared = diag is not None and len(diag) == 1
+    shared = diag is not None and diag.shape[0] == 1
     if shared:
-        u_diag = u * diag[0].data
+        u_diag = u * diag.data
         diag_logits = u_diag @ h_t
     heads = []
     upd = None
     for k in range(params.n_heads):
-        w_q, kv_k = params.w_q[k].data, kv[k].data
-        q = u @ w_q.T
+        kv_k = kvd[..., k, :, :]
+        q = u @ w_q[k].T
         logits = q @ np.swapaxes(kv_k, -1, -2)
         ud = None
         if shared:
             logits += diag_logits
         elif diag is not None:
-            ud = u * diag[k].data
+            ud = u * diag.data[k]
             logits += ud @ h_t
         logits *= inv_tau
         if bias is not None:
@@ -518,7 +530,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
         p = softmax_forward(logits, mask)
         del logits
         read = p @ kv_k
-        pre = read @ w_q
+        pre = read @ w_q[k]
         delta = pre if precond is None else precondition(pre, precond[k])
         if upd is None:
             # may alias the first head's pre, which the VJP reads back only
@@ -527,7 +539,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
         else:
             upd += delta
         if keep:
-            heads.append((w_q, kv_k, q, p, read, pre, ud))
+            heads.append((q, p, read, pre, ud))
         del q, p, read, pre, ud  # before the next head allocates its own
     out = upd * eta
     out += xd  # xd + upd * eta: addition commutes exactly
@@ -538,14 +550,18 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
         if isinstance(params.eta, Tensor):
             grads.add(params.eta, np.sum(c * upd))
         g_upd = c * eta
+        g_kv = np.empty_like(kvd)
+        g_wq = np.empty_like(w_q)
+        g_diag = None if diag is None else np.empty_like(diag.data)
         g_u = g_diag_logits = None
-        for k, (w_q, kv_k, q, p, read, pre, ud) in enumerate(heads):
+        for k, (q, p, read, pre, ud) in enumerate(heads):
+            kv_k = kvd[..., k, :, :]
             g_delta = g_upd
             if precond is not None:
                 g_delta, *g_factors = precondition_vjp(g_upd, pre, precond[k])
                 for t, g in zip(_preconditioner_tensors(precond[k]), g_factors):
                     grads.add(t, g)
-            g_read = g_delta @ w_q.T
+            g_read = g_delta @ w_q[k].T
             g_logits = softmax_vjp(g_read @ np.swapaxes(kv_k, -1, -2), p)
             if alibi is not None:
                 g_self, g_cross = alibi.offset_grads(g_logits)
@@ -553,10 +569,11 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
                 grads.add(alibi.b_cross, g_cross)
             g_logits *= inv_tau
             g_q = g_logits @ kv_k
-            grads.add(kv[k], np.swapaxes(p, -1, -2) @ g_read
-                      + np.swapaxes(g_logits, -1, -2) @ q)
-            grads.add(params.w_q[k], _outer_rows(read, g_delta) + _outer_rows(g_q, u))
-            g_uk = g_q @ w_q
+            g_kv_k = g_kv[..., k, :, :]
+            np.matmul(np.swapaxes(p, -1, -2), g_read, out=g_kv_k)
+            g_kv_k += np.swapaxes(g_logits, -1, -2) @ q
+            g_wq[k] = _outer_rows(read, g_delta) + _outer_rows(g_q, u)
+            g_uk = g_q @ w_q[k]
             if shared:
                 if g_diag_logits is None:
                     g_diag_logits = g_logits
@@ -564,9 +581,9 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
                     g_diag_logits += g_logits
             elif diag is not None:
                 g_ud = g_logits @ hd
-                grads.add(diag[k], _rows(g_ud * u).sum(axis=0))
+                g_diag[k] = _rows(g_ud * u).sum(axis=0)
                 grads.add(h, np.swapaxes(g_logits, -1, -2) @ ud)
-                g_ud *= diag[k].data
+                g_ud *= diag.data[k]
                 g_uk += g_ud
             if g_u is None:
                 g_u = g_uk
@@ -574,10 +591,14 @@ def _attention_step(x: Tensor, h: Tensor, kv: list[Tensor], mask: np.ndarray,
                 g_u += g_uk
         if shared:
             g_ud = g_diag_logits @ hd
-            grads.add(diag[0], _rows(g_ud * u).sum(axis=0))
+            g_diag[0] = _rows(g_ud * u).sum(axis=0)
             grads.add(h, np.swapaxes(g_diag_logits, -1, -2) @ u_diag)
-            g_ud *= diag[0].data
+            g_ud *= diag.data
             g_u += g_ud
+        grads.add(kv, g_kv)
+        grads.add(params.w_q, g_wq)
+        if diag is not None:
+            grads.add(diag, g_diag)
         _add_state_cotangent(grads, x, g_u, norm, y, r)
         return grads.ordered(parents)
 

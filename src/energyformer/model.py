@@ -226,21 +226,23 @@ def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
             alibi = AlibiParams(
                 slopes=alibi_slopes(k), b_self=Tensor(0.0), b_cross=Tensor(0.0)
             )
+
+        def heads() -> Tensor:
+            return Tensor(rng.normal(scale=INIT_STD, size=(k, d_r, d)))
+
         if cfg.attention == "reference":
             attn = ReferenceMhaParams(
-                w_q=tuple(Tensor(rng.normal(scale=INIT_STD, size=(d_r, d))) for _ in range(k)),
-                w_k=tuple(Tensor(rng.normal(scale=INIT_STD, size=(d_r, d))) for _ in range(k)),
-                w_v=tuple(Tensor(rng.normal(scale=INIT_STD, size=(d_r, d))) for _ in range(k)),
-                w_o=tuple(Tensor(rng.normal(scale=INIT_STD, size=(d_r, d))) for _ in range(k)),
+                w_q=heads(),
+                w_k=heads(),
+                w_v=heads(),
+                w_o=heads(),
                 tau=cfg.resolved_temperature(),
                 alibi=alibi,
             )
         else:
             diag = None
-            if cfg.kq_diag == "shared":
-                diag = (Tensor(np.zeros(d)),)
-            elif cfg.kq_diag == "per-head":
-                diag = tuple(Tensor(np.zeros(d)) for _ in range(k))
+            if cfg.kq_diag != "none":
+                diag = Tensor(np.zeros((1 if cfg.kq_diag == "shared" else k, d)))
             precond = None
             if cfg.attn_precond != "identity":
                 precond = tuple(
@@ -248,8 +250,8 @@ def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
                     for _ in range(k)
                 )
             attn = CemAttentionParams(
-                w_q=tuple(Tensor(rng.normal(scale=INIT_STD, size=(d_r, d))) for _ in range(k)),
-                w_k=tuple(Tensor(rng.normal(scale=INIT_STD, size=(d_r, d))) for _ in range(k)),
+                w_q=heads(),
+                w_k=heads(),
                 tau=cfg.resolved_temperature(),
                 steps=cfg.attn_steps,
                 eta=_init_eta(cfg.attn_eta, cfg.learnable_eta),
@@ -428,15 +430,7 @@ CORE_LEAVES = ("w_q", "w_k", "w_v", "w_o", "w", "v", "w_gate", "w_up", "w_down")
 
 def is_core(name: str) -> bool:
     """Projection matrices only: excludes diag, alibi, eta, norms, precond."""
-    if ".precond" in name or "norm" in name:
-        return False
-    parts = name.split(".")
-    for i, part in enumerate(parts):
-        if part in CORE_LEAVES:
-            # w_q.3 style tuples: the leaf may be followed by an index
-            rest = parts[i + 1 :]
-            return all(p.isdigit() for p in rest)
-    return False
+    return ".precond" not in name and name.rpartition(".")[2] in CORE_LEAVES
 
 
 def count_parameters(model: Model) -> dict[str, int]:

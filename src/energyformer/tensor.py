@@ -338,24 +338,16 @@ def matmul(a, b) -> Tensor:
     return record(out, (a, b), vjp)
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = _wrap(a)
-    out = np.transpose(a.data, axes)
-    inv = None if axes is None else tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
-
-    return record(out, (a,), vjp)
-
-
 def swap_last2(a) -> Tensor:
     """Transpose the trailing two axes, keeping batch axes in place."""
     a = _wrap(a)
     if a.ndim < 2:
         raise DimensionError(f"swap_last2 requires ndim >= 2, got {a.shape}")
-    axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
-    return transpose(a, axes)
+
+    def vjp(g):
+        return (np.swapaxes(g, -1, -2),)
+
+    return record(np.swapaxes(a.data, -1, -2), (a,), vjp)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -391,16 +383,6 @@ def log(a) -> Tensor:
 
     def vjp(g):
         return (g / a.data,)
-
-    return record(out, (a,), vjp)
-
-
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    out = _expit(a.data)
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
 
     return record(out, (a,), vjp)
 
@@ -564,12 +546,6 @@ def take_along_lastdim(a, idx: np.ndarray) -> Tensor:
         return (ga,)
 
     return record(out, (a,), vjp)
-
-
-def stop_gradient(a) -> Tensor:
-    """Detach from the active tape; forward value unchanged."""
-    a = _wrap(a)
-    return Tensor(a.data)
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,9 @@ def lr_schedule(step: int, cfg: OptimConfig) -> float:
 
 
 def wants_decay(name: str, tensor: Tensor) -> bool:
-    """Matrices decay; gains, biases, scalars, and preconditioners do not."""
-    return tensor.data.ndim >= 2 and ".precond" not in name
+    """Matrices decay; gains, biases, scalars, K/Q diagonals (stored as
+    (1 or K, D_h) rows) and preconditioners do not."""
+    return tensor.data.ndim >= 2 and ".precond" not in name and not name.endswith(".diag")
 
 
 @dataclass

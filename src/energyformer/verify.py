@@ -140,9 +140,7 @@ def tied_reference_attention(
     if untie_values is None:
         w_v = params.w_k
     else:
-        w_v = tuple(
-            Tensor(untie_values.normal(size=t.shape)) for t in params.w_k
-        )
+        w_v = Tensor(untie_values.normal(size=params.w_k.shape))
     return ly.ReferenceMhaParams(
         w_q=params.w_q,
         w_k=params.w_k,
@@ -168,9 +166,7 @@ def interaction_spec_of(params: ly.CemAttentionParams) -> en.InteractionEnergySp
     """Energy spec matching a recurrent attention layer's coupling."""
     diag = None
     if params.diag is not None:
-        diag = tuple(
-            params.head_diag(k).data for k in range(params.n_heads)
-        )
+        diag = np.broadcast_to(params.diag.data, (params.n_heads, params.diag.shape[1]))
     alibi = None
     if params.alibi is not None:
         alibi = en.AlibiSpec(
@@ -180,8 +176,8 @@ def interaction_spec_of(params: ly.CemAttentionParams) -> en.InteractionEnergySp
         )
     return en.InteractionEnergySpec(
         tau=params.tau,
-        w_q=tuple(t.data for t in params.w_q),
-        w_k=tuple(t.data for t in params.w_k),
+        w_q=params.w_q.data,
+        w_k=params.w_k.data,
         diag=diag,
         alibi=alibi,
     )
@@ -222,8 +218,8 @@ def random_attention_params(
             b_cross=Tensor(rng.normal(scale=0.3)),
         )
     params = ly.CemAttentionParams(
-        w_q=tuple(Tensor(rng.normal(size=(d_r, d_h)) * scale) for _ in range(n_heads)),
-        w_k=tuple(Tensor(rng.normal(size=(d_r, d_h)) * scale) for _ in range(n_heads)),
+        w_q=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
+        w_k=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
         tau=float(np.sqrt(d_r)),
         steps=steps,
         eta=1.0,
@@ -241,7 +237,7 @@ def random_attention_params(
             tau=params.tau,
             steps=steps,
             eta=1.0,
-            diag=tuple(Tensor(rng.normal(size=d_h) * scale) for _ in range(n_diag)),
+            diag=Tensor(rng.normal(size=(n_diag, d_h)) * scale),
             precond=tuple(
                 random_preconditioner(rng, d_h, kind="diag_lowrank", rank=2)
                 for _ in range(n_heads)
@@ -333,16 +329,16 @@ def tied_equivalence_check(
         sub = int(rng.integers(0, 2**31))
         if c % 2 == 0:
             params, n_ctx = random_attention_params(sub, steps=1, pure_gradient=True)
-            d_h = params.w_q[0].shape[1]
+            d_h = params.w_q.shape[2]
             h = Tensor(np.random.default_rng(sub + 1).normal(size=(n_ctx, d_h)))
-            got = cem_minus_input(ly.cem_attention(h, params), h)
+            got = ly.cem_attention(h, params).data - h.data
             want = ly.reference_mha(h, tied_reference_attention(params)).data
             kind = "attention"
         else:
             params = random_mlp_params(sub, steps=1, pure_gradient=True)
             d_h = params.w.shape[1]
             h = Tensor(np.random.default_rng(sub + 1).normal(size=(5, d_h)))
-            got = cem_minus_input(ly.cem_mlp(h, params), h)
+            got = ly.cem_mlp(h, params).data - h.data
             want = ly.reference_gated_mlp(h, tied_reference_mlp(params)).data
             kind = "mlp"
         dev = max_abs(got, want)
@@ -358,17 +354,13 @@ def tied_equivalence_check(
     )
 
 
-def cem_minus_input(out: Tensor, h: Tensor) -> np.ndarray:
-    return out.data - h.data
-
-
 def untied_deviation(seed: int = 0) -> float:
     """Deviation when value weights are deliberately re-drawn (must be large)."""
     params, n_ctx = random_attention_params(seed, steps=1, pure_gradient=True)
     n_ctx = max(n_ctx, 3)
-    d_h = params.w_q[0].shape[1]
+    d_h = params.w_q.shape[2]
     h = Tensor(np.random.default_rng(seed + 1).normal(size=(n_ctx, d_h)))
-    got = cem_minus_input(ly.cem_attention(h, params), h)
+    got = ly.cem_attention(h, params).data - h.data
     bad_ref = tied_reference_attention(params, untie_values=np.random.default_rng(seed + 2))
     want = ly.reference_mha(h, bad_ref).data
     return max_abs(got, want)
@@ -390,7 +382,7 @@ def single_step_consistency_check(
         if c % 2 == 0:
             params, n_ctx = random_attention_params(sub, steps=1, pure_gradient=True)
             params.eta = eta
-            d_h = params.w_q[0].shape[1]
+            d_h = params.w_q.shape[2]
             h = np.random.default_rng(sub + 1).normal(size=(n_ctx, d_h))
             out = ly.cem_attention(Tensor(h), params).data
             spec = interaction_spec_of(params)
@@ -448,7 +440,7 @@ def descent_trace(
     if kind == "attention":
         params, n_ctx = random_attention_params(seed, steps=1, pure_gradient=True)
         n_ctx = max(n_ctx, 2)
-        d_h = params.w_q[0].shape[1]
+        d_h = params.w_q.shape[2]
         h = np.random.default_rng(seed + 1).normal(size=(n_ctx, d_h))
         spec = interaction_spec_of(params)
 
@@ -537,7 +529,7 @@ def causality_check(
         steps = [1, 2, 4][c % 3]
         pure = bool(c % 2)
         params, _ = random_attention_params(sub, steps=steps, pure_gradient=pure)
-        d_h = params.w_q[0].shape[1]
+        d_h = params.w_q.shape[2]
         n_ctx = 6
         h = np.random.default_rng(sub + 1).normal(size=(n_ctx, d_h))
         cut = int(np.random.default_rng(sub + 2).integers(1, n_ctx))
@@ -596,6 +588,11 @@ def _require_equivalence_mode(b: md.BlockConfig) -> None:
         raise ValueError("not in equivalence mode: " + "; ".join(problems))
 
 
+# reference leaf -> the recurrent leaf it is tied to; leaves not listed
+# (and every leaf of a non-recurrent sublayer) copy their own name
+TIED_LEAVES = {"w_v": "w_k", "w_o": "w_q", "w_gate": "w", "w_up": "v", "w_down": "v"}
+
+
 def tied_reference_model(model: md.Model) -> md.Model:
     """Reference-architecture twin of an equivalence-mode recurrent model.
 
@@ -615,45 +612,17 @@ def tied_reference_model(model: md.Model) -> md.Model:
         inner_norm=False,
         learnable_eta=False,
     )
-    ref_cfg = dataclasses.replace(cfg, block=ref_block)
-    ref = md.build_model(ref_cfg, seed=0)
-
-    for name in ("embed", "lift_w", "lift_b", "head_w", "head_b"):
-        src = getattr(model, name)
-        if src is not None:
-            getattr(ref, name).data = src.data.copy()
-    if model.final_norm is not None:
-        ref.final_norm.gain.data = model.final_norm.gain.data.copy()
-
-    for blk, rblk in zip(model.blocks, ref.blocks):
-        if blk.attn is not None:
-            rblk.attn_norm.gain.data = blk.attn_norm.gain.data.copy()
-            if isinstance(blk.attn, ly.CemAttentionParams):
-                for i in range(len(blk.attn.w_q)):
-                    rblk.attn.w_q[i].data = blk.attn.w_q[i].data.copy()
-                    rblk.attn.w_k[i].data = blk.attn.w_k[i].data.copy()
-                    rblk.attn.w_v[i].data = blk.attn.w_k[i].data.copy()
-                    rblk.attn.w_o[i].data = blk.attn.w_q[i].data.copy()
-            else:
-                for i in range(len(blk.attn.w_q)):
-                    for leaf in ("w_q", "w_k", "w_v", "w_o"):
-                        getattr(rblk.attn, leaf)[i].data = getattr(blk.attn, leaf)[
-                            i
-                        ].data.copy()
-            if blk.attn.alibi is not None:
-                rblk.attn.alibi.b_self.data = blk.attn.alibi.b_self.data.copy()
-                rblk.attn.alibi.b_cross.data = blk.attn.alibi.b_cross.data.copy()
-        rblk.mlp_norm.gain.data = blk.mlp_norm.gain.data.copy()
-        if isinstance(blk.mlp, ly.CemMlpParams):
-            rblk.mlp.w_gate.data = blk.mlp.w.data.copy()
-            rblk.mlp.w_up.data = blk.mlp.v.data.copy()
-            rblk.mlp.w_down.data = blk.mlp.v.data.T.copy()
-        elif isinstance(blk.mlp, ly.GatedMlpParams):
-            for leaf in ("w_gate", "w_up", "w_down"):
-                getattr(rblk.mlp, leaf).data = getattr(blk.mlp, leaf).data.copy()
+    ref = md.build_model(dataclasses.replace(cfg, block=ref_block), seed=0)
+    source = md.named_parameters(model)
+    for name, tensor in md.named_parameters(ref).items():
+        if name in source:
+            data = source[name].data
         else:
-            rblk.mlp.w_up.data = blk.mlp.w_up.data.copy()
-            rblk.mlp.w_down.data = blk.mlp.w_down.data.copy()
+            scope, _, leaf = name.rpartition(".")
+            data = source[f"{scope}.{TIED_LEAVES[leaf]}"].data
+            if leaf == "w_down":
+                data = data.T
+        tensor.data = data.copy()
     return ref
 
 

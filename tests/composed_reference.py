@@ -3,7 +3,8 @@
 These are the recurrent attention and MLP layers, the RMS norm and the
 preconditioner as they stood before the package fused each recursion
 step into one tape node: every operation is a tape primitive, so their
-gradients come from the primitives' own backward rules. The fused
+gradients come from the primitives' own backward rules, and heads are
+composed one at a time from slices of the stacked parameters. The fused
 layers in energyformer.layers must reproduce them to rounding, forward
 and backward (see test_fused.py).
 """
@@ -23,6 +24,7 @@ from energyformer.tensor import (
     add,
     matmul,
     mul,
+    record,
     rsqrt,
     silu,
     softmax_lastdim,
@@ -30,6 +32,17 @@ from energyformer.tensor import (
     swap_last2,
     tmean,
 )
+
+
+def head(t: Tensor, k: int) -> Tensor:
+    """Entry k along the leading (head) axis of a stacked tensor."""
+
+    def vjp(g):
+        full = np.zeros_like(t.data)
+        full[k] = g
+        return (full,)
+
+    return record(t.data[k], (t,), vjp)
 
 
 def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
@@ -70,32 +83,31 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
     """
     n = h.shape[-2]
     mask = causal_mask(n)
-    kv = [matmul(h, swap_last2(params.w_k[k])) for k in range(params.n_heads)]
-    bias = None
-    if params.alibi is not None:
-        bias = [params.alibi.bias_matrix(n, k) for k in range(params.n_heads)]
+    kv = [matmul(h, swap_last2(head(params.w_k, k))) for k in range(params.n_heads)]
+    bias = None if params.alibi is None else params.alibi.bias_matrix(n)
     h_t = swap_last2(h)
 
     x = h
     for _ in range(params.steps):
         u = x if params.inner_norm is None else rmsnorm(x, params.inner_norm)
         shared = None
-        if params.diag is not None and len(params.diag) == 1:
+        if params.diag is not None and params.diag.shape[0] == 1:
             # one diagonal for all heads: compute its logit term once
-            shared = matmul(mul(u, params.diag[0]), h_t)
+            shared = matmul(mul(u, head(params.diag, 0)), h_t)
         upd = None
         for k in range(params.n_heads):
-            q = matmul(u, swap_last2(params.w_q[k]))
+            w_q = head(params.w_q, k)
+            q = matmul(u, swap_last2(w_q))
             logits = matmul(q, swap_last2(kv[k]))
             if shared is not None:
                 logits = add(logits, shared)
             elif params.diag is not None:
-                logits = add(logits, matmul(mul(u, params.head_diag(k)), h_t))
+                logits = add(logits, matmul(mul(u, head(params.diag, k)), h_t))
             logits = mul(logits, 1.0 / params.tau)
             if bias is not None:
-                logits = add(logits, bias[k])
+                logits = add(logits, head(bias, k))
             p = softmax_lastdim(logits, mask=mask)
-            delta = matmul(matmul(p, kv[k]), params.w_q[k])
+            delta = matmul(matmul(p, kv[k]), w_q)
             if params.precond is not None:
                 delta = apply_preconditioner(delta, params.precond[k])
             upd = delta if upd is None else add(upd, delta)

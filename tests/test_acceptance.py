@@ -37,8 +37,8 @@ def _attention_instance(rng, with_alibi):
             b_cross=Tensor(rng.normal(scale=0.3)),
         )
     params = ly.CemAttentionParams(
-        w_q=tuple(Tensor(rng.normal(size=(d_r, d_h)) * scale) for _ in range(n_heads)),
-        w_k=tuple(Tensor(rng.normal(size=(d_r, d_h)) * scale) for _ in range(n_heads)),
+        w_q=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
+        w_k=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
         tau=float(np.sqrt(d_r)),
         steps=1,
         eta=1.0,
@@ -103,7 +103,7 @@ def test_interaction_energy_gradient_matches_finite_differences():
         sub = int(rng.integers(0, 2**31))
         params, n_ctx = vf.random_attention_params(sub, pure_gradient=bool(c % 2))
         spec = vf.interaction_spec_of(params)
-        d_h = params.w_q[0].shape[1]
+        d_h = params.w_q.shape[2]
         inner = np.random.default_rng(sub + 9)
         history = inner.normal(size=(n_ctx, d_h))
         x = inner.normal(size=d_h)
@@ -311,10 +311,10 @@ def test_concat_projection_equals_head_sum():
         d_r = d_h // n_heads
         j = int(rng.integers(2, 9))
         params = ly.ReferenceMhaParams(
-            w_q=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(n_heads)),
-            w_k=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(n_heads)),
-            w_v=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(n_heads)),
-            w_o=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(n_heads)),
+            w_q=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
+            w_k=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
+            w_v=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
+            w_o=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
             tau=float(np.sqrt(d_r)),
         )
         h = rng.normal(size=(j, d_h))
@@ -323,14 +323,14 @@ def test_concat_projection_equals_head_sum():
         mask = np.triu(np.full((j, j), -np.inf), k=1)
         heads = []
         for k in range(n_heads):
-            q = h @ params.w_q[k].data.T
-            key = h @ params.w_k[k].data.T
-            val = h @ params.w_v[k].data.T
+            q = h @ params.w_q.data[k].T
+            key = h @ params.w_k.data[k].T
+            val = h @ params.w_v.data[k].T
             logits = q @ key.T / params.tau + mask
             z = np.exp(logits - logits.max(axis=-1, keepdims=True))
             heads.append((z / z.sum(axis=-1, keepdims=True)) @ val)
         concat = np.concatenate(heads, axis=-1)
-        stacked = np.concatenate([t.data for t in params.w_o], axis=0)
+        stacked = params.w_o.data.reshape(n_heads * d_r, d_h)  # heads concatenated along rows
         worst = max(worst, vf.max_abs(got, concat @ stacked))
     print(f"concat vs head-sum: worst={worst:.3e} over 50 instances")
     assert worst <= 1e-12

@@ -1,0 +1,40 @@
+"""The bench under bench/ reaches into the package by name.
+
+Its tracer skips a patch point it cannot find and its isolated timings
+look layer functions up by name, so a rename under src/ would quietly
+zero per-layer bench rows. These tests make such a rename fail here.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import isolated  # noqa: E402
+import tracing  # noqa: E402
+
+from energyformer import layers  # noqa: E402
+
+
+def _resolve(module: str, attribute: str):
+    obj = importlib.import_module(module)
+    for part in attribute.split("."):  # a dotted attribute is a method
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "module,attribute",
+    [(module, attribute) for _, module, attribute in tracing.PATCH_POINTS],
+    ids=[f"{module}.{attribute}" for _, module, attribute in tracing.PATCH_POINTS],
+)
+def test_trace_patch_point_resolves(module, attribute):
+    assert callable(_resolve(module, attribute))
+
+
+@pytest.mark.parametrize("stem", sorted(isolated.LAYERS))
+def test_isolated_layer_resolves(stem):
+    fn_name = isolated.LAYERS[stem][3]
+    assert callable(getattr(layers, fn_name, None)), f"energyformer.layers.{fn_name}"

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from energyformer import cli
 from energyformer.cli import (
     ExperimentSpec,
     SpecError,
@@ -20,7 +21,8 @@ from energyformer.cli import (
     spec_hash,
     task_dir_for,
 )
-from energyformer.data import DataError
+from energyformer.data import DataError, batch_iterator
+from energyformer.train import lm_eval
 from energyformer.model import count_parameters_config
 
 
@@ -113,6 +115,18 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
     assert "task" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("seeds", 5),
+    ("model", {"preset": "lm-smoke", "block": {"d_hidden": "abc"}}),
+    ("optim", {"lr": "x"}),
+])
+def test_cli_wrongly_typed_field_exits_2(tmp_path, capsys, field, value):
+    bad = _write_spec(tmp_path, {"version": 1, "task": "lm-smoke", field: value})
+    assert main(["--spec", bad]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and field in err
+
+
 def test_cli_missing_file_exits_2(tmp_path, capsys):
     assert main(["--spec", str(tmp_path / "nope.json")]) == 2
     assert "invalid spec" in capsys.readouterr().err
@@ -180,6 +194,47 @@ def test_cli_overrides_reach_nested_fields(tmp_path):
     result = json.loads((run_dir / "seed7" / "result.json").read_text())
     assert np.isfinite(result["final_train_loss"])
     assert (run_dir / "seed7" / "model.bin").exists()
+
+
+LM_SPEC = dict(
+    task="lm-smoke",
+    model={"preset": "lm-smoke", "n_layers": 1,
+           "block": {"d_hidden": 8, "n_heads": 2, "d_mlp": 16}},
+    optim={"total_steps": 2, "batch_size": 4},
+)
+
+
+def test_lm_smoke_eval_windows_are_held_out(tmp_path, monkeypatch):
+    seen = {}
+
+    def spy_batches(windows, batch_size, seed=0):
+        seen["train"] = np.asarray(windows)
+        return batch_iterator(windows, batch_size, seed=seed)
+
+    def spy_eval(model, windows):
+        seen["eval"] = np.asarray(windows)
+        return lm_eval(model, windows)
+
+    monkeypatch.setattr(cli, "batch_iterator", spy_batches)
+    monkeypatch.setattr(cli, "lm_eval", spy_eval)
+    spec = ExperimentSpec(out=str(tmp_path / "runs"), **LM_SPEC)
+    cli._lm_train_one(spec, 0, tmp_path / "seed0", cli.resolve_optim_config(spec.optim))
+    # 65-byte windows of the bundled corpus are all distinct, so disjoint
+    # contents mean disjoint windows
+    train_rows = {w.tobytes() for w in seen["train"]}
+    eval_rows = {w.tobytes() for w in seen["eval"]}
+    assert len(eval_rows) == 64
+    assert len(train_rows) + len(eval_rows) == len(cli._lm_windows(spec))
+    assert not train_rows & eval_rows
+
+
+def test_lm_smoke_corpus_too_small_for_held_out_split(tmp_path):
+    corpus = tmp_path / "tiny.txt"
+    corpus.write_bytes(bytes(range(97, 123)) * 44)  # 67 windows of 17: 3 left to train
+    spec = ExperimentSpec(out=str(tmp_path / "runs"), data={
+        "seq_len": 17, "corpus": str(corpus)}, **LM_SPEC)
+    with pytest.raises(DataError, match="67 windows"):
+        cli._lm_train_one(spec, 0, tmp_path / "seed0", cli.resolve_optim_config(spec.optim))
 
 
 def test_gp_task_writes_paired_artifacts(tmp_path):

@@ -35,15 +35,15 @@ def random_interaction_instance(seed, force_full=False, with_alibi=None, with_di
     if force_full:
         spec = en.InteractionEnergySpec(
             tau=tau,
-            full=tuple(rng.normal(size=(d_h, d_h)) for _ in range(n_heads)),
+            full=rng.normal(size=(n_heads, d_h, d_h)),
             alibi=alibi,
         )
     else:
         spec = en.InteractionEnergySpec(
             tau=tau,
-            w_q=tuple(rng.normal(size=(d_r, d_h)) for _ in range(n_heads)),
-            w_k=tuple(rng.normal(size=(d_r, d_h)) for _ in range(n_heads)),
-            diag=tuple(rng.normal(size=d_h) for _ in range(n_heads)) if use_diag else None,
+            w_q=rng.normal(size=(n_heads, d_r, d_h)),
+            w_k=rng.normal(size=(n_heads, d_r, d_h)),
+            diag=rng.normal(size=(n_heads, d_h)) if use_diag else None,
             alibi=alibi,
         )
     x = rng.normal(size=d_h)
@@ -97,7 +97,7 @@ def test_full_and_factored_heads_agree():
         x, history, spec = random_interaction_instance(20_000 + seed, force_full=False)
         full_spec = en.InteractionEnergySpec(
             tau=spec.tau,
-            full=tuple(spec.head_matrix(k) for k in range(spec.n_heads)),
+            full=np.stack([spec.head_matrix(k) for k in range(spec.n_heads)]),
             alibi=spec.alibi,
         )
         npt.assert_allclose(
@@ -117,8 +117,8 @@ def test_single_context_token_closed_form():
     # one visible token: softmax weight is 1, energy = -beta.x - tau*bias
     rng = np.random.default_rng(42)
     d_h = 6
-    w_q = (rng.normal(size=(3, d_h)),)
-    w_k = (rng.normal(size=(3, d_h)),)
+    w_q = rng.normal(size=(1, 3, d_h))
+    w_k = rng.normal(size=(1, 3, d_h))
     spec = en.InteractionEnergySpec(tau=2.0, w_q=w_q, w_k=w_k)
     x = rng.normal(size=d_h)
     h1 = rng.normal(size=d_h)
@@ -162,8 +162,8 @@ def test_interaction_energy_extreme_scale_finite():
     d_h = 8
     spec = en.InteractionEnergySpec(
         tau=1.0,
-        w_q=(rng.normal(size=(4, d_h)) * 10,),
-        w_k=(rng.normal(size=(4, d_h)) * 10,),
+        w_q=rng.normal(size=(1, 4, d_h)) * 10,
+        w_k=rng.normal(size=(1, 4, d_h)) * 10,
     )
     x = rng.normal(size=d_h) * 30
     history = rng.normal(size=(5, d_h)) * 30

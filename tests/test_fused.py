@@ -42,10 +42,10 @@ def attention_params(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, s
     diag = None
     if kq_diag != "none":
         n_diag = 1 if kq_diag == "shared" else k
-        diag = tuple(Tensor(rng.normal(size=d) * scale) for _ in range(n_diag))
+        diag = Tensor(rng.normal(size=(n_diag, d)) * scale)
     return ly.CemAttentionParams(
-        w_q=tuple(Tensor(rng.normal(size=(d_r, d)) * scale) for _ in range(k)),
-        w_k=tuple(Tensor(rng.normal(size=(d_r, d)) * scale) for _ in range(k)),
+        w_q=Tensor(rng.normal(size=(k, d_r, d)) * scale),
+        w_k=Tensor(rng.normal(size=(k, d_r, d)) * scale),
         tau=float(np.sqrt(d_r)),
         steps=steps,
         eta=Tensor(0.7) if learnable_eta else 0.7,
@@ -111,7 +111,7 @@ def test_fused_attention_matches_composed(
     seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps, lead, seq
 ):
     params = attention_params(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps)
-    d = params.w_q[0].shape[1]
+    d = params.w_q.shape[2]
     h = np.random.default_rng(seed).normal(size=lead + (seq, d))
     assert_matches_composed(ly.cem_attention, ref.cem_attention, params, h, seed)
 
@@ -158,7 +158,7 @@ def full_mlp(steps=2):
 
 
 def _width(params):
-    return params.w_q[0].shape[1] if isinstance(params, ly.CemAttentionParams) else params.v.shape[1]
+    return params.w_q.shape[2] if isinstance(params, ly.CemAttentionParams) else params.v.shape[1]
 
 
 def test_tape_off_forward_equals_tape_on():
@@ -189,17 +189,18 @@ def _recorded_ops(out: Tensor) -> int:
 
 @pytest.mark.parametrize("steps", [1, 2, 4])
 def test_one_tape_node_per_recursion_step(steps):
-    # besides the steps, only the frozen projections are recorded: a
-    # transpose and a matmul per head for kv, and the same once for the gate
+    # besides the steps, only the frozen projections are recorded: for kv
+    # a head-axis reshape of h, a transpose and one matmul over all heads,
+    # and a transpose and a matmul for the gate
     for fn, params, frozen in (
-        (ly.cem_attention, full_attention(steps), lambda p: 2 * p.n_heads),
-        (ly.cem_mlp, full_mlp(steps), lambda p: 2),
+        (ly.cem_attention, full_attention(steps), 3),
+        (ly.cem_mlp, full_mlp(steps), 2),
     ):
         ht = Tensor(np.random.default_rng(8).normal(size=(2, 4, _width(params))))
         with Tape() as tape:
             tape.watch(ht, *named_tensors(params).values())
             out = fn(ht, params)
-        assert _recorded_ops(out) == steps + frozen(params)
+        assert _recorded_ops(out) == steps + frozen
 
 
 def test_fused_steps_raise_dimension_errors():
@@ -228,8 +229,8 @@ def test_fused_attention_raises_domain_errors():
         ly.cem_attention(Tensor(h), params)
     # w_q = -w_k makes every self logit -|w_k h_i|^2; scaled past overflow,
     # the first row's only visible entry is -inf, so the row is fully masked
-    w_k = np.random.default_rng(11).normal(size=(3, 6))
-    params = ly.CemAttentionParams(w_q=(Tensor(-w_k),), w_k=(Tensor(w_k),), tau=1.0)
+    w_k = np.random.default_rng(11).normal(size=(1, 3, 6))
+    params = ly.CemAttentionParams(w_q=Tensor(-w_k), w_k=Tensor(w_k), tau=1.0)
     h = np.random.default_rng(12).normal(size=(3, 6))
     h[0] *= 1e200
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):

@@ -75,10 +75,10 @@ def test_reference_mha_concat_equals_head_sum():
         rng = np.random.default_rng(100 + seed)
         d_h, d_r, k, j = 8, 3, 3, 5
         params = ly.ReferenceMhaParams(
-            w_q=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(k)),
-            w_k=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(k)),
-            w_v=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(k)),
-            w_o=tuple(Tensor(rng.normal(size=(d_r, d_h))) for _ in range(k)),
+            w_q=Tensor(rng.normal(size=(k, d_r, d_h))),
+            w_k=Tensor(rng.normal(size=(k, d_r, d_h))),
+            w_v=Tensor(rng.normal(size=(k, d_r, d_h))),
+            w_o=Tensor(rng.normal(size=(k, d_r, d_h))),
             tau=float(np.sqrt(d_r)),
         )
         h = rng.normal(size=(j, d_h))
@@ -88,15 +88,15 @@ def test_reference_mha_concat_equals_head_sum():
         mask = np.triu(np.full((j, j), -np.inf), k=1)
         heads = []
         for kk in range(k):
-            q = h @ params.w_q[kk].data.T
-            key = h @ params.w_k[kk].data.T
-            val = h @ params.w_v[kk].data.T
+            q = h @ params.w_q.data[kk].T
+            key = h @ params.w_k.data[kk].T
+            val = h @ params.w_v.data[kk].T
             logits = q @ key.T / params.tau + mask
             z = np.exp(logits - logits.max(axis=-1, keepdims=True))
             p = z / z.sum(axis=-1, keepdims=True)
             heads.append(p @ val)
         concat = np.concatenate(heads, axis=-1)            # (j, k*d_r)
-        stacked = np.concatenate([t.data for t in params.w_o], axis=0)  # (k*d_r, d_h)
+        stacked = params.w_o.data.reshape(k * d_r, d_h)  # heads concatenated along rows
         want = concat @ stacked
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -105,10 +105,10 @@ def test_reference_mha_causal():
     rng = np.random.default_rng(200)
     d_h, k, j = 8, 2, 6
     params = ly.ReferenceMhaParams(
-        w_q=tuple(Tensor(rng.normal(size=(4, d_h))) for _ in range(k)),
-        w_k=tuple(Tensor(rng.normal(size=(4, d_h))) for _ in range(k)),
-        w_v=tuple(Tensor(rng.normal(size=(4, d_h))) for _ in range(k)),
-        w_o=tuple(Tensor(rng.normal(size=(4, d_h))) for _ in range(k)),
+        w_q=Tensor(rng.normal(size=(k, 4, d_h))),
+        w_k=Tensor(rng.normal(size=(k, 4, d_h))),
+        w_v=Tensor(rng.normal(size=(k, 4, d_h))),
+        w_o=Tensor(rng.normal(size=(k, 4, d_h))),
         tau=2.0,
     )
     h = rng.normal(size=(j, d_h))
@@ -226,7 +226,7 @@ def test_one_token_single_head_closed_form():
     d_h, d_r = 6, 3
     wq, wk = rng.normal(size=(d_r, d_h)), rng.normal(size=(d_r, d_h))
     params = ly.CemAttentionParams(
-        w_q=(Tensor(wq),), w_k=(Tensor(wk),), tau=1.7, steps=1, eta=0.9
+        w_q=Tensor(wq[None]), w_k=Tensor(wk[None]), tau=1.7, steps=1, eta=0.9
     )
     h1 = rng.normal(size=(1, d_h))
     out = ly.cem_attention(Tensor(h1), params).data
@@ -266,7 +266,7 @@ def test_cem_attention_multistep_refreshes_queries_not_keys():
     eta = 0.2
     h = rng.normal(size=(j, d_h))
     two = ly.CemAttentionParams(
-        w_q=(Tensor(wq),), w_k=(Tensor(wk),), tau=1.0, steps=2, eta=eta
+        w_q=Tensor(wq[None]), w_k=Tensor(wk[None]), tau=1.0, steps=2, eta=eta
     )
     got = ly.cem_attention(Tensor(h), two).data
 
@@ -334,7 +334,7 @@ def test_preconditioner_dim_mismatch():
 
 def test_cem_attention_batched_equals_stacked():
     params, _ = vf.random_attention_params(820, steps=2, pure_gradient=False)
-    d_h = params.w_q[0].shape[1]
+    d_h = params.w_q.shape[2]
     rng = np.random.default_rng(821)
     hb = rng.normal(size=(3, 5, d_h))
     batched = ly.cem_attention(Tensor(hb), params).data
@@ -395,7 +395,7 @@ def layer_param_fd_check(layer_fn, params, h, seed, tol=1e-5, n_dirs=2):
 def test_full_feature_cem_attention_param_grads():
     params, _ = vf.random_attention_params(900, steps=2, pure_gradient=False)
     params.eta = Tensor(0.8)  # learnable step size joins the check
-    d_h = params.w_q[0].shape[1]
+    d_h = params.w_q.shape[2]
     h = np.random.default_rng(901).normal(size=(5, d_h))
     layer_param_fd_check(ly.cem_attention, params, h, seed=902)
 
@@ -411,7 +411,7 @@ def test_full_feature_cem_mlp_param_grads():
 def test_reference_layers_param_grads():
     params, _ = vf.random_attention_params(920, steps=1, pure_gradient=True)
     ref = vf.tied_reference_attention(params)
-    d_h = ref.w_q[0].shape[1]
+    d_h = ref.w_q.shape[2]
     h = np.random.default_rng(921).normal(size=(4, d_h))
     layer_param_fd_check(ly.reference_mha, ref, h, seed=922)
 
@@ -437,8 +437,10 @@ def test_alibi_layer_matrix_matches_energy_row():
     lp = ly.AlibiParams(slopes=slopes, b_self=Tensor(0.3), b_cross=Tensor(-0.2))
     es = en.AlibiSpec(slopes=slopes, b_self=0.3, b_cross=-0.2)
     n = 5
+    mats = lp.bias_matrix(n).data
+    assert mats.shape == (2, n, n)
     for k in range(2):
-        mat = lp.bias_matrix(n, k).data
+        mat = mats[k]
         for i in range(n):
             # energy row for query i+1 over context 1..i+1
             row = es.bias_row(i + 1, i + 1, k)
@@ -447,7 +449,7 @@ def test_alibi_layer_matrix_matches_energy_row():
 
 def test_alibi_diagonal_gets_self_offset():
     lp = ly.AlibiParams(slopes=np.array([0.5]), b_self=Tensor(1.0), b_cross=Tensor(0.0))
-    mat = lp.bias_matrix(3, 0).data
+    mat = lp.bias_matrix(3).data[0]
     npt.assert_allclose(np.diag(mat), np.ones(3))
     assert mat[1, 0] == pytest.approx(-0.5)
 
@@ -457,16 +459,17 @@ def test_alibi_diagonal_gets_self_offset():
 
 
 def test_layer_param_validation():
-    t = Tensor(np.zeros((2, 4)))
+    t = Tensor(np.zeros((1, 2, 4)))
+    t2 = Tensor(np.zeros((2, 2, 4)))
     with pytest.raises(DomainError):
-        ly.CemAttentionParams(w_q=(t,), w_k=(t,), tau=-1.0)
+        ly.CemAttentionParams(w_q=t, w_k=t, tau=-1.0)
     with pytest.raises(DomainError):
-        ly.CemAttentionParams(w_q=(t,), w_k=(t,), tau=1.0, steps=0)
+        ly.CemAttentionParams(w_q=t, w_k=t, tau=1.0, steps=0)
     with pytest.raises(DimensionError):
-        ly.CemAttentionParams(w_q=(t,), w_k=(t, t), tau=1.0)
+        ly.CemAttentionParams(w_q=t, w_k=t2, tau=1.0)
     with pytest.raises(DimensionError):
         ly.CemAttentionParams(
-            w_q=(t, t), w_k=(t, t), tau=1.0,
+            w_q=t2, w_k=t2, tau=1.0,
             precond=(ly.identity_preconditioner(4),),
         )
     with pytest.raises(DimensionError):

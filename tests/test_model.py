@@ -125,8 +125,8 @@ def test_temperature_defaults_to_sqrt_head_dim():
 
 
 def test_parameter_group_paths():
-    assert parameter_group("blocks.0.attn.w_q.0") == "attention"
-    assert parameter_group("blocks.0.attn.diag.0") == "attention"
+    assert parameter_group("blocks.0.attn.w_q") == "attention"
+    assert parameter_group("blocks.0.attn.diag") == "attention"
     assert parameter_group("blocks.0.attn.eta") == "attention"
     assert parameter_group("blocks.0.attn.alibi.b_self") == "attention"
     assert parameter_group("blocks.0.attn.precond.1.u") == "preconditioners"
@@ -141,13 +141,14 @@ def test_parameter_group_paths():
 
 
 def test_is_core_paths():
-    assert is_core("blocks.0.attn.w_q.0")
-    assert is_core("blocks.2.attn.w_v.3")
+    assert is_core("blocks.0.attn.w_q")
+    assert is_core("blocks.2.attn.w_v")
     assert is_core("blocks.0.mlp.w")
     assert is_core("blocks.0.mlp.v")
     assert is_core("blocks.0.mlp.w_down")
     assert not is_core("blocks.0.attn.eta")
-    assert not is_core("blocks.0.attn.diag.0")
+    assert not is_core("blocks.0.attn.diag")
+    assert not is_core("blocks.0.attn.w_q.0")  # per-head names are gone
     assert not is_core("blocks.0.attn.alibi.b_self")
     assert not is_core("blocks.0.attn.precond.0.v")
     assert not is_core("blocks.0.attn.inner_norm.gain")
@@ -636,6 +637,26 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_per_head_names_rejected(tmp_path):
+    # containers written before heads were stacked hold one tensor per
+    # head (blocks.0.attn.w_q.0, ...); they must fail loudly, not load
+    from energyformer import serialize
+
+    cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16))
+    model = build_model(cfg, seed=0)
+    path = tmp_path / "model.bin"
+    save_checkpoint(model, path)
+    per_head = {}
+    for name, t in named_parameters(model).items():
+        if name.endswith((".w_q", ".w_k")):
+            per_head.update({f"{name}.{k}": w for k, w in enumerate(t.data)})
+        else:
+            per_head[name] = t.data
+    serialize.save_tensors(path, per_head)
+    with pytest.raises(ConfigError, match="attn.w_k"):
+        load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # whole-stack behaviour
 
@@ -643,6 +664,22 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
 def test_model_tied_equivalence():
     report = verify.model_tied_equivalence_check(n_configs=8, seed=0)
     assert report.passed, f"worst deviation {report.worst:.3e}"
+
+
+def test_tied_reference_model_square_mlp():
+    # with d_mlp == d_hidden, v and the reference w_down share a shape:
+    # only the leaf names say that w_down is v transposed
+    cfg = ModelConfig(
+        vocab_size=11,
+        block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=8, inner_norm=False, alibi=True),
+    )
+    model = _randomized_model(cfg, 3)
+    ref = verify.tied_reference_model(model)
+    for blk, rblk in zip(model.blocks, ref.blocks):
+        np.testing.assert_array_equal(rblk.mlp.w_down.data, blk.mlp.v.data.T)
+        np.testing.assert_array_equal(rblk.attn.w_o.data, blk.attn.w_q.data)
+    inputs = np.random.default_rng(4).integers(0, 11, size=(2, 6))
+    assert verify.max_abs(forward(model, inputs).data, forward(ref, inputs).data) <= 1e-10
 
 
 def test_model_backward_matches_finite_differences():

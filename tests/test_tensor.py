@@ -67,11 +67,6 @@ def test_softplus_at_zero():
     npt.assert_allclose(tt.softplus(Tensor(0.0)).item(), np.log(2.0), rtol=0, atol=1e-15)
 
 
-def test_sigmoid_extremes_stable():
-    out = tt.sigmoid(Tensor(np.array([-1000.0, 0.0, 1000.0])))
-    npt.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-15)
-
-
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -220,14 +215,6 @@ def test_shared_subexpression_fanout():
     npt.assert_allclose(tape.backward(loss)[x].data, 4.0 * x.data, atol=1e-15)
 
 
-def test_stop_gradient_blocks_flow():
-    x = Tensor(np.array([1.0, 2.0]))
-    with Tape() as tape:
-        tape.watch(x)
-        loss = tt.tsum(tt.mul(tt.stop_gradient(x), x))
-    npt.assert_allclose(tape.backward(loss)[x].data, x.data, atol=1e-15)
-
-
 def test_backward_twice_same_tape_is_stable():
     x = Tensor(np.array([1.0, -1.0, 2.0]))
     with Tape() as tape:
@@ -266,7 +253,6 @@ def random_cotangent(shape, seed):
 UNARY_CASES = [
     ("exp", tt.exp, lambda r: r.normal(scale=1.5, size=(3, 4))),
     ("log", tt.log, lambda r: r.uniform(0.2, 5.0, size=(3, 4))),
-    ("sigmoid", tt.sigmoid, lambda r: r.normal(scale=3.0, size=(3, 4))),
     ("silu", tt.silu, lambda r: r.normal(scale=3.0, size=(3, 4))),
     ("softplus", tt.softplus, lambda r: r.normal(scale=3.0, size=(3, 4))),
     ("rsqrt", tt.rsqrt, lambda r: r.uniform(0.3, 4.0, size=(3, 4))),
