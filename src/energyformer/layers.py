@@ -18,13 +18,21 @@ The RMS norm and the preconditioner are numpy forward/VJP pairs shared
 by the fused steps and by their own one-node primitives. The composed
 form of the recurrent layers is kept under tests/ as their reference.
 
+The recurrent attention step walks causal query tiles of QUERY_TILE
+rows: tile [s0, s1) builds its logits, softmax and read-out against keys
+[0, s1) only, so the masked keys past its last row are never touched,
+and heads run inside each query tile. ALiBi and the causal mask are one
+additive constant per tile. At J = 256 that is 10 of the 16 64x64
+blocks; at J <= QUERY_TILE there is one tile and the arithmetic is the
+dense layer's. The reference attention stays dense: it is the oracle.
+
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
 (rows_out, D_h) and applied as h @ W.T. Attention keeps every head in
 one tensor: each projection is a (K, D_r, D_h) stack, applied to h
 reshaped to (..., 1, J, D_h) so that head projections come out as
 (..., K, J, D_r); the K/Q diagonal is (1, D_h) shared or (K, D_h), and
-the ALiBi bias is (K, J, J). Preconditioners stay one per head.
+the traced ALiBi bias is (K, J, J). Preconditioners stay one per head.
 """
 
 from __future__ import annotations
@@ -55,13 +63,12 @@ from .tensor import (
 )
 
 
-def causal_mask(n: int) -> np.ndarray:
-    """(n, n) additive mask: 0 where j <= i, -inf where j > i."""
+def causal_mask(n: int, start: int = 0) -> np.ndarray:
+    """Additive mask for query rows start <= i < n against keys j < n:
+    0 where j <= i, -inf where j > i, shape (n - start, n)."""
     if n < 1:
         raise DomainError("mask size must be >= 1")
-    m = np.zeros((n, n))
-    m[np.triu_indices(n, k=1)] = -np.inf
-    return m
+    return np.triu(np.full((n - start, n), -np.inf), k=start + 1)
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -166,10 +173,11 @@ class AlibiParams:
     b_self: Tensor
     b_cross: Tensor
 
-    def distance_bias(self, n: int) -> np.ndarray:
-        """The constant part, -slope_k * |i - j|, as a (K, n, n) array."""
+    def distance_bias(self, n: int, start: int = 0) -> np.ndarray:
+        """The constant part, -slope_k * |i - j|, for query rows
+        start <= i < n against keys j < n, as a (K, n - start, n) array."""
         return -self.slopes[:, None, None] * np.abs(
-            np.arange(n)[:, None] - np.arange(n)[None, :]
+            np.arange(start, n)[:, None] - np.arange(n)[None, :]
         ).astype(np.float64)
 
     def bias_matrix(self, n: int) -> Tensor:
@@ -180,17 +188,18 @@ class AlibiParams:
             add(mul(Tensor(eye), self.b_self), mul(Tensor(1.0 - eye), self.b_cross)),
         )
 
-    def bias_array(self, n: int) -> np.ndarray:
-        """bias_matrix values in plain numpy."""
-        eye = np.eye(n)
+    def bias_rows(self, start: int, n: int) -> np.ndarray:
+        """Rows start <= i < n of the bias_matrix values, in plain numpy."""
+        eye = np.eye(n - start, n, k=start)
         offsets = eye * self.b_self.data + (1.0 - eye) * self.b_cross.data
-        return self.distance_bias(n) + offsets
+        return self.distance_bias(n, start) + offsets
 
-    def offset_grads(self, g_bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cotangents (b_self, b_cross) from a (..., n, n) bias cotangent."""
-        n = g_bias.shape[-1]
-        g = g_bias.reshape(-1, n, n).sum(axis=0)
-        eye = np.eye(n)
+    def offset_grads(self, g_bias: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cotangents (b_self, b_cross) from the (..., n - start, n)
+        cotangent of bias rows start <= i < n."""
+        rows, n = g_bias.shape[-2:]
+        g = g_bias.reshape(-1, rows, n).sum(axis=0)
+        eye = np.eye(rows, n, k=start)
         return np.sum(g * eye), np.sum(g * (1.0 - eye))
 
 
@@ -471,27 +480,53 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
         _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
     for pc in params.precond or ():
         _check_preconditioner_dim(pc, d)
-    mask = causal_mask(n)
-    bias = None if params.alibi is None else params.alibi.bias_array(n)
+    tiles = _query_tiles(n, params.alibi)
     kv = matmul(_with_head_axis(h), swap_last2(params.w_k))  # (..., K, J, D_r)
     x = h
     for _ in range(params.steps):
-        x = _attention_step(x, h, kv, mask, bias, params)
+        x = _attention_step(x, h, kv, tiles, params)
     return x
 
 
-def _attention_step(x: Tensor, h: Tensor, kv: Tensor, mask: np.ndarray,
-                    bias: np.ndarray | None, params: CemAttentionParams) -> Tensor:
+QUERY_TILE = 64  # query rows per attention tile; at J = 256, 32 ran no faster, 128 slower
+
+
+def _query_tiles(n: int, alibi: AlibiParams | None) -> list[tuple[int, int, np.ndarray]]:
+    """Query tiles (s0, s1, const) of QUERY_TILE rows over a length-n sequence.
+
+    Tile rows s0 <= i < s1 see keys j < s1 only; const is their additive
+    logit constant, the causal mask plus, with ALiBi, the (K, s1 - s0, s1)
+    bias rows. Folding the mask into the bias keeps the composed layer's
+    bits, because (x + b) + m == x + (b + m) for m in {0, -inf}.
+    """
+    if n < 1:
+        raise DomainError("attention needs a sequence of length >= 1")
+    tiles = []
+    for s0 in range(0, n, QUERY_TILE):
+        s1 = min(s0 + QUERY_TILE, n)
+        const = causal_mask(s1, start=s0)
+        if alibi is not None:
+            const = alibi.bias_rows(s0, s1) + const
+        tiles.append((s0, s1, const))
+    return tiles
+
+
+def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentionParams) -> Tensor:
     """x + eta * sum_k P_k (softmax_k kv_k) w_q,k as one tape node.
 
-    The forward keeps the elementwise operations and their order from
-    the composed layer in tests/composed_reference.py, so both give the
-    same bits; in-place updates only spare the temporaries. Heads run
-    one at a time: batching their logits was slower on long sequences.
+    Logits, softmax and read-out run tile by tile over the causal query
+    tiles of _query_tiles, so the masked keys past a tile's last row are
+    never computed; heads run inside each query tile. The projections
+    into and out of the heads run over the whole sequence. Within a
+    tile the forward keeps the elementwise operations and their order
+    from the composed layer in tests/composed_reference.py, so at one
+    tile (J <= QUERY_TILE) both give the same bits; in-place updates
+    only spare the temporaries.
     """
     norm, diag, precond, alibi = params.inner_norm, params.diag, params.precond, params.alibi
     eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
     inv_tau = 1.0 / params.tau
+    n_heads = params.n_heads
     parents = [x, h, kv, params.w_q]
     if diag is not None:
         parents.append(diag)
@@ -503,34 +538,38 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, mask: np.ndarray,
         parents += _preconditioner_tensors(pc)
     if isinstance(params.eta, Tensor):
         parents.append(params.eta)
-    keep = recording(parents)  # off the tape, each head's arrays die with the head
+    keep = recording(parents)  # off the tape, each tile's softmax dies with the tile
 
     xd, hd, w_q, kvd = x.data, h.data, params.w_q.data, kv.data
     u, y, r = _normalised_state(xd, norm)
     h_t = np.swapaxes(hd, -1, -2)
     shared = diag is not None and diag.shape[0] == 1
-    if shared:
-        u_diag = u * diag.data
-        diag_logits = u_diag @ h_t
-    heads = []
-    upd = None
-    for k in range(params.n_heads):
-        kv_k = kvd[..., k, :, :]
-        q = u @ w_q[k].T
-        logits = q @ np.swapaxes(kv_k, -1, -2)
-        ud = None
+    qs = [u @ w_q[k].T for k in range(n_heads)]
+    reads = [np.empty(q.shape) for q in qs]
+    probs = []  # per tile, each head's softmax, for the VJP
+    for s0, s1, const in tiles:
+        u_t, h_tt = u[..., s0:s1, :], h_t[..., :s1]
         if shared:
-            logits += diag_logits
-        elif diag is not None:
-            ud = u * diag.data[k]
-            logits += ud @ h_t
-        logits *= inv_tau
-        if bias is not None:
-            logits += bias[k]
-        p = softmax_forward(logits, mask)
-        del logits
-        read = p @ kv_k
-        pre = read @ w_q[k]
+            diag_logits = (u_t * diag.data) @ h_tt
+        tile = []
+        for k in range(n_heads):
+            kv_k = kvd[..., k, :s1, :]
+            logits = qs[k][..., s0:s1, :] @ np.swapaxes(kv_k, -1, -2)
+            if shared:
+                logits += diag_logits
+            elif diag is not None:
+                logits += (u_t * diag.data[k]) @ h_tt
+            logits *= inv_tau
+            p = softmax_forward(logits, const if alibi is None else const[k])
+            del logits
+            np.matmul(p, kv_k, out=reads[k][..., s0:s1, :])
+            if keep:
+                tile.append(p)
+        probs.append(tile)
+    pres = []
+    upd = None
+    for k in range(n_heads):
+        pre = reads[k] @ w_q[k]
         delta = pre if precond is None else precondition(pre, precond[k])
         if upd is None:
             # may alias the first head's pre, which the VJP reads back only
@@ -539,8 +578,8 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, mask: np.ndarray,
         else:
             upd += delta
         if keep:
-            heads.append((q, p, read, pre, ud))
-        del q, p, read, pre, ud  # before the next head allocates its own
+            pres.append(pre)
+        del pre, delta  # before the next head allocates its own
     out = upd * eta
     out += xd  # xd + upd * eta: addition commutes exactly
 
@@ -550,55 +589,69 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, mask: np.ndarray,
         if isinstance(params.eta, Tensor):
             grads.add(params.eta, np.sum(c * upd))
         g_upd = c * eta
-        g_kv = np.empty_like(kvd)
         g_wq = np.empty_like(w_q)
-        g_diag = None if diag is None else np.empty_like(diag.data)
-        g_u = g_diag_logits = None
-        for k, (q, p, read, pre, ud) in enumerate(heads):
-            kv_k = kvd[..., k, :, :]
+        g_reads = []
+        for k in range(n_heads):
             g_delta = g_upd
             if precond is not None:
-                g_delta, *g_factors = precondition_vjp(g_upd, pre, precond[k])
+                g_delta, *g_factors = precondition_vjp(g_upd, pres[k], precond[k])
                 for t, g in zip(_preconditioner_tensors(precond[k]), g_factors):
                     grads.add(t, g)
-            g_read = g_delta @ w_q[k].T
-            g_logits = softmax_vjp(g_read @ np.swapaxes(kv_k, -1, -2), p)
-            if alibi is not None:
-                g_self, g_cross = alibi.offset_grads(g_logits)
-                grads.add(alibi.b_self, g_self)
-                grads.add(alibi.b_cross, g_cross)
-            g_logits *= inv_tau
-            g_q = g_logits @ kv_k
-            g_kv_k = g_kv[..., k, :, :]
-            np.matmul(np.swapaxes(p, -1, -2), g_read, out=g_kv_k)
-            g_kv_k += np.swapaxes(g_logits, -1, -2) @ q
-            g_wq[k] = _outer_rows(read, g_delta) + _outer_rows(g_q, u)
-            g_uk = g_q @ w_q[k]
+            g_wq[k] = _outer_rows(reads[k], g_delta)
+            g_reads.append(g_delta @ w_q[k].T)
+        # rows of g_q and of the diagonal's g_ud belong to one tile each;
+        # g_kv and the diagonal's g_h sum over every tile that reads a key
+        g_qs = [np.empty(q.shape) for q in qs]
+        g_kv = np.zeros_like(kvd)
+        g_uds = g_h = None
+        if diag is not None:
+            g_uds = [np.empty(u.shape) for _ in range(diag.shape[0])]
+            g_h = np.zeros_like(hd)
+        for (s0, s1, _), tile in zip(tiles, probs):
+            u_t, h_tt = u[..., s0:s1, :], hd[..., :s1, :]
+            g_diag_logits = None
+            for k, p in enumerate(tile):
+                kv_k = kvd[..., k, :s1, :]
+                g_read = g_reads[k][..., s0:s1, :]
+                g_logits = softmax_vjp(g_read @ np.swapaxes(kv_k, -1, -2), p)
+                if alibi is not None:
+                    g_self, g_cross = alibi.offset_grads(g_logits, s0)
+                    grads.add(alibi.b_self, g_self)
+                    grads.add(alibi.b_cross, g_cross)
+                g_logits *= inv_tau
+                np.matmul(g_logits, kv_k, out=g_qs[k][..., s0:s1, :])
+                g_kv_k = g_kv[..., k, :s1, :]
+                g_kv_k += np.swapaxes(p, -1, -2) @ g_read
+                g_kv_k += np.swapaxes(g_logits, -1, -2) @ qs[k][..., s0:s1, :]
+                if shared:
+                    if g_diag_logits is None:
+                        g_diag_logits = g_logits
+                    else:
+                        g_diag_logits += g_logits
+                elif diag is not None:
+                    np.matmul(g_logits, h_tt, out=g_uds[k][..., s0:s1, :])
+                    g_h[..., :s1, :] += np.swapaxes(g_logits, -1, -2) @ (u_t * diag.data[k])
             if shared:
-                if g_diag_logits is None:
-                    g_diag_logits = g_logits
-                else:
-                    g_diag_logits += g_logits
-            elif diag is not None:
-                g_ud = g_logits @ hd
-                g_diag[k] = _rows(g_ud * u).sum(axis=0)
-                grads.add(h, np.swapaxes(g_logits, -1, -2) @ ud)
-                g_ud *= diag.data[k]
-                g_uk += g_ud
+                np.matmul(g_diag_logits, h_tt, out=g_uds[0][..., s0:s1, :])
+                g_h[..., :s1, :] += np.swapaxes(g_diag_logits, -1, -2) @ (u_t * diag.data)
+        g_u = None
+        for k in range(n_heads):
+            g_wq[k] += _outer_rows(g_qs[k], u)
+            g_uk = g_qs[k] @ w_q[k]
             if g_u is None:
                 g_u = g_uk
             else:
                 g_u += g_uk
-        if shared:
-            g_ud = g_diag_logits @ hd
-            g_diag[0] = _rows(g_ud * u).sum(axis=0)
-            grads.add(h, np.swapaxes(g_diag_logits, -1, -2) @ u_diag)
-            g_ud *= diag.data
-            g_u += g_ud
+        if diag is not None:
+            g_diag = np.empty_like(diag.data)
+            for i, g_ud in enumerate(g_uds):
+                g_diag[i] = _rows(g_ud * u).sum(axis=0)
+                g_ud *= diag.data[i]
+                g_u += g_ud
+            grads.add(diag, g_diag)
+            grads.add(h, g_h)
         grads.add(kv, g_kv)
         grads.add(params.w_q, g_wq)
-        if diag is not None:
-            grads.add(diag, g_diag)
         _add_state_cotangent(grads, x, g_u, norm, y, r)
         return grads.ordered(parents)
 

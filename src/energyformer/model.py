@@ -532,11 +532,13 @@ def count_parameters_config(cfg: ModelConfig) -> dict[str, int]:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Binary tensor container plus a JSON config sidecar."""
+    """Binary tensor container plus a JSON config sidecar, each replaced
+    atomically (serialize.write_atomic)."""
     path = Path(path)
     serialize.save_tensors(path, {k: v.data for k, v in named_parameters(model).items()})
     sidecar = path.with_suffix(path.suffix + ".json")
-    sidecar.write_text(json.dumps(model.config.to_dict(), indent=2, sort_keys=True))
+    config = json.dumps(model.config.to_dict(), indent=2, sort_keys=True)
+    serialize.write_atomic(sidecar, config.encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path) -> Model:
@@ -587,7 +589,14 @@ def _flops_softmax_causal(j: int) -> int:
 
 
 def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
-    """Closed-form forward FLOPs per sequence, grouped like the counts."""
+    """Closed-form forward FLOPs per sequence, grouped like the counts.
+
+    Attention counts the J(J+1)/2 causal (i, j <= i) pairs. The code
+    computes more: reference_mha runs all J^2 pairs, and cem_attention,
+    whose query tiles of B = layers.QUERY_TILE rows each see the keys up
+    to their last row, runs B^2 n(n+1)/2 pairs over n full tiles, plus
+    rJ when a ragged last tile holds the other r < B rows (J = nB + r).
+    """
     cfg.validate()
     b = cfg.block
     d, k, d_r, d_m = b.d_hidden, b.n_heads, b.resolved_d_head(), b.d_mlp

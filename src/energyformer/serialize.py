@@ -18,7 +18,9 @@ byte is accounted for and that round-trips bit-exactly.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,28 @@ class FormatError(ValueError):
     """Container is malformed or not ours."""
 
 
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace path with data, or leave it as it was.
+
+    The bytes go to a temp file in the same directory, which os.replace
+    then renames over path, so a failed or interrupted write never leaves
+    a partial file behind.
+    """
     path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
+    """Write the container through write_atomic."""
     chunks = [MAGIC, struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         # asarray keeps 0-d shapes; ascontiguousarray would promote to 1-d
@@ -44,7 +66,7 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.tobytes())
-    path.write_bytes(b"".join(chunks))
+    write_atomic(path, b"".join(chunks))
 
 
 class _Reader:

@@ -17,13 +17,14 @@ from energyformer.cli import (
     parse_variant,
     resolve_model_config,
     run_gp_regression,
+    run_lm_smoke,
     run_lr_sweep,
     spec_hash,
     task_dir_for,
 )
 from energyformer.data import DataError, batch_iterator
 from energyformer.train import lm_eval
-from energyformer.model import count_parameters_config
+from energyformer.model import build_model, count_parameters_config
 
 
 def _write_spec(tmp_path, payload):
@@ -226,6 +227,15 @@ def test_lm_smoke_eval_windows_are_held_out(tmp_path, monkeypatch):
     assert len(eval_rows) == 64
     assert len(train_rows) + len(eval_rows) == len(cli._lm_windows(spec))
     assert not train_rows & eval_rows
+
+
+def test_lm_smoke_reduction_is_held_out_eval_before_and_after(tmp_path):
+    spec = ExperimentSpec(out=str(tmp_path / "runs"), **LM_SPEC)
+    result = run_lm_smoke(spec)["results"][0]
+    held_out = cli._lm_windows(spec)[: cli.EVAL_WINDOWS]
+    before = lm_eval(build_model(resolve_model_config(LM_SPEC["model"]), seed=0), held_out)
+    assert result["reduction"] == 1.0 - result["eval"]["loss"] / before["loss"]
+    assert result["initial_eval"] == before
 
 
 def test_lm_smoke_corpus_too_small_for_held_out_split(tmp_path):

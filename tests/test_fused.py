@@ -2,9 +2,10 @@
 
 Each recursion step of cem_attention and cem_mlp is one tape node with a
 hand-written VJP; composed_reference.py keeps the same layers built from
-tape primitives. The forward must agree to 1e-12 absolute (the fused
-step keeps the composed arithmetic order) and every input's gradient to
-1e-10, relative to that gradient's largest entry.
+tape primitives. The forward must agree to 1e-12 absolute (within a
+query tile the fused step keeps the composed arithmetic order; across
+tiles its read-out skips the masked keys' exact zeros) and every
+input's gradient to 1e-10, relative to that gradient's largest entry.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ FWD_TOL = 1e-12
 GRAD_TOL = 1e-10
 LEADS = ((), (2,), (2, 3))
 PRECONDS = ("none", "identity", "diagonal", "diag_lowrank")
+LONG = 150  # three query tiles at the real tile size, the last one ragged
 
 
 def _norm(rng, d, on):
@@ -95,8 +97,7 @@ def assert_matches_composed(fused_fn, composed_fn, params, h, seed):
         assert err <= GRAD_TOL, f"{name}: relative gradient error {err}"
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
+ATTENTION_CASES = dict(
     seed=st.integers(0, 2**31 - 1),
     inner_norm=st.booleans(),
     kq_diag=st.sampled_from(("none", "shared", "per-head")),
@@ -107,13 +108,30 @@ def assert_matches_composed(fused_fn, composed_fn, params, h, seed):
     lead=st.sampled_from(LEADS),
     seq=st.integers(1, 5),
 )
-def test_fused_attention_matches_composed(
-    seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps, lead, seq
-):
+
+
+def check_attention_case(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps,
+                         lead, seq):
     params = attention_params(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps)
     d = params.w_q.shape[2]
     h = np.random.default_rng(seed).normal(size=lead + (seq, d))
     assert_matches_composed(ly.cem_attention, ref.cem_attention, params, h, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**ATTENTION_CASES)
+def test_fused_attention_matches_composed(**case):
+    check_attention_case(**case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**ATTENTION_CASES)
+def test_fused_attention_matches_composed_across_tiles(**case):
+    # two-row query tiles: sequences of 1 to 5 span 1 to 3 tiles, the
+    # last one ragged at odd lengths
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ly, "QUERY_TILE", 2)
+        check_attention_case(**case)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -163,8 +181,12 @@ def _width(params):
 
 def test_tape_off_forward_equals_tape_on():
     rng = np.random.default_rng(7)
-    for fn, params in ((ly.cem_attention, full_attention()), (ly.cem_mlp, full_mlp())):
-        h = rng.normal(size=(2, 5, _width(params)))
+    for fn, params, seq in (
+        (ly.cem_attention, full_attention(), 5),
+        (ly.cem_mlp, full_mlp(), 5),
+        (ly.cem_attention, full_attention(), LONG),
+    ):
+        h = rng.normal(size=(2, seq, _width(params)))
         off = fn(Tensor(h), params)
         ht = Tensor(h)
         with Tape() as tape:
@@ -172,6 +194,16 @@ def test_tape_off_forward_equals_tape_on():
             on = fn(ht, params)
         assert off.node is None and on.node is not None
         assert off.data.tobytes() == on.data.tobytes()
+
+
+@pytest.mark.parametrize("kq_diag", ["shared", "per-head"])
+def test_fused_attention_multi_tile_matches_composed(kq_diag):
+    assert 2 * ly.QUERY_TILE < LONG < 3 * ly.QUERY_TILE
+    params = attention_params(13, True, kq_diag, "diag_lowrank", True, True, 2)
+    h = np.random.default_rng(14).normal(size=(2, LONG, _width(params)))
+    names = named_tensors(params)
+    assert {"alibi.b_self", "alibi.b_cross"} <= set(names)
+    assert_matches_composed(ly.cem_attention, ref.cem_attention, params, h, 15)
 
 
 def _recorded_ops(out: Tensor) -> int:
@@ -226,6 +258,11 @@ def test_fused_attention_raises_domain_errors():
     h = np.random.default_rng(10).normal(size=(4, _width(params)))
     h[2, 0] = np.nan
     with pytest.raises(DomainError):  # non-finite softmax row
+        ly.cem_attention(Tensor(h), params)
+    # the same in the last of three query tiles, which no earlier tile reads
+    h = np.random.default_rng(10).normal(size=(LONG, _width(params)))
+    h[LONG - 3, 0] = np.nan
+    with pytest.raises(DomainError):
         ly.cem_attention(Tensor(h), params)
     # w_q = -w_k makes every self logit -|w_k h_i|^2; scaled past overflow,
     # the first row's only visible entry is -inf, so the row is fully masked

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from energyformer import verify
+from energyformer.layers import QUERY_TILE
 from energyformer.model import (
     BlockConfig,
     ConfigError,
@@ -680,6 +681,23 @@ def test_tied_reference_model_square_mlp():
         np.testing.assert_array_equal(rblk.attn.w_o.data, blk.attn.w_q.data)
     inputs = np.random.default_rng(4).integers(0, 11, size=(2, 6))
     assert verify.max_abs(forward(model, inputs).data, forward(ref, inputs).data) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "cut", [QUERY_TILE + QUERY_TILE // 2, 2 * QUERY_TILE], ids=["mid-tile", "tile-boundary"]
+)
+def test_model_exactly_causal_across_query_tiles(cut):
+    # 150 tokens run three query tiles of the recurrent attention; new
+    # tokens from position cut on must not move any output before it
+    model = _randomized_model(verify.full_feature_config(), 9)
+    rng = np.random.default_rng(cut)
+    tokens = rng.integers(0, 17, size=(2, 150))
+    perturbed = tokens.copy()
+    perturbed[:, cut:] = (tokens[:, cut:] + rng.integers(1, 17, size=(2, 150 - cut))) % 17
+    base = forward(model, tokens).data
+    moved = forward(model, perturbed).data
+    assert verify.max_abs(base[:, :cut], moved[:, :cut]) <= 1e-12
+    assert verify.max_abs(base[:, cut:], moved[:, cut:]) > 1e-3
 
 
 def test_model_backward_matches_finite_differences():

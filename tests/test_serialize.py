@@ -1,9 +1,13 @@
 """Binary tensor container: byte-level round trips and corruption checks."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
-from energyformer import serialize
+from energyformer import model as md
+from energyformer import serialize, verify
 
 
 def test_round_trip_shapes_and_bits(tmp_path):
@@ -93,3 +97,69 @@ def test_garbled_name_and_extent_raise_format_error(tmp_path):
         path.write_bytes(garbled)
         with pytest.raises(serialize.FormatError):
             serialize.load_tensors(path)
+
+
+# ---------------------------------------------------------------------------
+# crash-safe writes
+
+
+class _HalfWriter:
+    """A file whose write stores the first half of the bytes, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fail_write(monkeypatch, nth: int) -> None:
+    """Make the nth file write_atomic opens (0-based) fail halfway."""
+    real_fdopen, calls = os.fdopen, []
+
+    def fdopen(fd, mode):
+        calls.append(fd)
+        f = real_fdopen(fd, mode)
+        return _HalfWriter(f) if len(calls) == nth + 1 else f
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+
+
+def test_failed_write_keeps_previous_container(tmp_path, monkeypatch):
+    path = tmp_path / "t.bin"
+    serialize.save_tensors(path, {"a": np.arange(4.0)})
+    _fail_write(monkeypatch, 0)
+    with pytest.raises(OSError):
+        serialize.save_tensors(path, {"a": np.ones(1000), "b": np.zeros(3)})
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["t.bin"]  # no temp file left
+    assert serialize.load_tensors(path)["a"].tobytes() == np.arange(4.0).tobytes()
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["tensors", "sidecar"])
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch, failing):
+    cfg = verify.full_feature_config()
+    path = tmp_path / "model.bin"
+    old = md.build_model(cfg, seed=1)
+    md.save_checkpoint(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_write(monkeypatch, failing)
+    with pytest.raises(OSError):
+        md.save_checkpoint(md.build_model(cfg, seed=2), path)
+    monkeypatch.undo()
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert set(after) == set(before) == {"model.bin", "model.bin.json"}
+    failed = ("model.bin", "model.bin.json")[failing]
+    assert after[failed] == before[failed]
+    loaded = md.named_parameters(md.load_checkpoint(path))
+    if failing == 0:
+        for name, t in md.named_parameters(old).items():
+            assert loaded[name].data.tobytes() == t.data.tobytes(), name
