@@ -43,6 +43,7 @@ from .model import (
     preset,
 )
 from .train import (
+    InterpolationError,
     OptimConfig,
     TrainingError,
     estimate_lr_optimum,
@@ -60,7 +61,6 @@ class SpecError(ValueError):
 
 
 SPEC_VERSION = 1
-TASKS = ("gp-regression", "lm-smoke", "verify", "lr-sweep", "count")
 OUT_ROOT_ENV = "ENERGYFORMER_OUT"
 
 GP_VARIANTS = ("plain", "gated", "cem-t1", "cem-t2")
@@ -228,12 +228,6 @@ def task_dir_for(spec: ExperimentSpec) -> Path:
     return Path(root) / f"{spec.task}-{spec_hash(spec)}"
 
 
-def _write_effective_config(spec: ExperimentSpec, task_dir: Path) -> None:
-    task_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(spec.to_dict(), indent=2, sort_keys=True)
-    (task_dir / "effective-config.json").write_text(text + "\n")
-
-
 def _write_csv(path: Path, header: list, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -263,7 +257,7 @@ def gp_variant_config(variant: str, d_hidden: int, d_mlp: int, n_layers: int,
     )
 
 
-def _gp_seed_rows(spec_dict: dict, seed: int) -> list:
+def _gp_seed_rows(spec_dict: dict, task_dir: Path, seed: int) -> list:
     """All variant results for one seed; paired on one data draw."""
     spec = ExperimentSpec.from_dict(spec_dict)
     kernel = gp_kernel_spec(spec.data)
@@ -278,7 +272,7 @@ def _gp_seed_rows(spec_dict: dict, seed: int) -> list:
     in_dim = spec.data.get("in_dim", 10)
 
     train, test = gp_sample(kernel, n_points=n_points, seed=seed, in_dim=in_dim)
-    seed_dir = task_dir_for(spec) / f"seed{seed}"
+    seed_dir = task_dir / f"seed{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     write_regression_csv(seed_dir / "data.csv", [train, test])
 
@@ -312,15 +306,14 @@ def _gp_seed_rows(spec_dict: dict, seed: int) -> list:
     return rows
 
 
-def run_gp_regression(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    task_dir = task_dir_for(spec)
-    _write_effective_config(spec, task_dir)
+def run_gp_regression(spec: ExperimentSpec, task_dir: Path, jobs: int = 1) -> dict:
     spec_dict = spec.to_dict()
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_gp_seed_rows, itertools.repeat(spec_dict), spec.seeds))
+            chunks = list(pool.map(_gp_seed_rows, itertools.repeat(spec_dict),
+                                   itertools.repeat(task_dir), spec.seeds))
     else:
-        chunks = [_gp_seed_rows(spec_dict, seed) for seed in spec.seeds]
+        chunks = [_gp_seed_rows(spec_dict, task_dir, seed) for seed in spec.seeds]
     rows = [row for chunk in chunks for row in chunk]
 
     header = ["seed", "variant", "steps", "mlp_core_params", "total_params",
@@ -378,9 +371,7 @@ def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimCo
     return metrics, eval_before
 
 
-def run_lm_smoke(spec: ExperimentSpec) -> dict:
-    task_dir = task_dir_for(spec)
-    _write_effective_config(spec, task_dir)
+def run_lm_smoke(spec: ExperimentSpec, task_dir: Path) -> dict:
     ocfg = resolve_optim_config(spec.optim) if spec.optim else OptimConfig(
         total_steps=500, batch_size=8,
     )
@@ -403,9 +394,7 @@ def run_lm_smoke(spec: ExperimentSpec) -> dict:
     return {"results": results, "dir": str(task_dir)}
 
 
-def run_lr_sweep(spec: ExperimentSpec) -> dict:
-    task_dir = task_dir_for(spec)
-    _write_effective_config(spec, task_dir)
+def run_lr_sweep(spec: ExperimentSpec, task_dir: Path) -> dict:
     opts = spec.task_options
     if "lrs" in opts:
         lrs = [float(x) for x in opts["lrs"]]
@@ -422,7 +411,7 @@ def run_lr_sweep(spec: ExperimentSpec) -> dict:
                 OptimConfig(lr=lr, total_steps=60, batch_size=8))
             seed_dir = task_dir / f"lr{lr:.6g}-seed{seed}"
             metrics, _ = _lm_train_one(spec, seed, seed_dir, ocfg)
-            losses.append(metrics.final_train_loss)
+            losses.append(metrics.final_eval["loss"])
         points.append({"lr": lr, "loss": float(np.mean(losses)),
                        "per_seed": losses})
     (task_dir / "sweep-points.json").write_text(json.dumps(points, indent=2) + "\n")
@@ -440,9 +429,7 @@ def run_lr_sweep(spec: ExperimentSpec) -> dict:
     return result
 
 
-def run_verify(spec: ExperimentSpec) -> dict:
-    task_dir = task_dir_for(spec)
-    _write_effective_config(spec, task_dir)
+def run_verify(spec: ExperimentSpec, task_dir: Path) -> dict:
     report = verify.run_all(
         out_path=task_dir / "verify.json",
         fast=spec.task_options.get("fast", True),
@@ -457,9 +444,7 @@ def run_verify(spec: ExperimentSpec) -> dict:
     return report
 
 
-def run_count(spec: ExperimentSpec) -> dict:
-    task_dir = task_dir_for(spec)
-    _write_effective_config(spec, task_dir)
+def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
     entries = spec.task_options.get("models", ["ref-86m", "cem-86m"])
     seq_len = spec.task_options.get("seq_len", 128)
     resolved = []
@@ -523,6 +508,9 @@ def emit_plotdata(metrics_dir) -> list:
             for key in ("lr", "loss"):
                 if key not in point:
                     raise DataError(f"missing metric key {key!r} in {sweep_file}")
+                value = point[key]
+                if not isinstance(value, (int, float)) or not np.isfinite(value):
+                    raise DataError(f"{key} {value!r} in {sweep_file} is not a finite number")
         rows = [[p["lr"], p["loss"], "sample"] for p in points]
         if len(points) >= 5:
             best_lr, best_loss = estimate_lr_optimum(
@@ -559,16 +547,24 @@ def emit_plotdata(metrics_dir) -> list:
 # entry point
 
 
+TASKS = {
+    "gp-regression": run_gp_regression,
+    "lm-smoke": run_lm_smoke,
+    "verify": run_verify,
+    "lr-sweep": run_lr_sweep,
+    "count": run_count,
+}
+
+
 def run_spec(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    if spec.task == "gp-regression":
-        return run_gp_regression(spec, jobs=jobs)
-    if spec.task == "lm-smoke":
-        return run_lm_smoke(spec)
-    if spec.task == "lr-sweep":
-        return run_lr_sweep(spec)
-    if spec.task == "verify":
-        return run_verify(spec)
-    return run_count(spec)
+    """Run the spec's task in its directory, beside its effective config."""
+    task_dir = task_dir_for(spec)
+    task_dir.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(spec.to_dict(), indent=2, sort_keys=True)
+    (task_dir / "effective-config.json").write_text(text + "\n")
+    if spec.task == "gp-regression":  # the only task that fans seeds out
+        return run_gp_regression(spec, task_dir, jobs)
+    return TASKS[spec.task](spec, task_dir)
 
 
 def _parse_override(text: str):
@@ -639,7 +635,7 @@ def main(argv=None) -> int:
 
     try:
         run_spec(spec, jobs=args.jobs)
-    except (TrainingError, DataError, NumericalError, ConfigError) as exc:
+    except (TrainingError, DataError, NumericalError, ConfigError, InterpolationError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     return 0

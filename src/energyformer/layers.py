@@ -543,22 +543,19 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
     xd, hd, w_q, kvd = x.data, h.data, params.w_q.data, kv.data
     u, y, r = _normalised_state(xd, norm)
     h_t = np.swapaxes(hd, -1, -2)
-    shared = diag is not None and diag.shape[0] == 1
+    n_diag = 0 if diag is None else diag.shape[0]  # one row shared, or one per head
     qs = [u @ w_q[k].T for k in range(n_heads)]
     reads = [np.empty(q.shape) for q in qs]
     probs = []  # per tile, each head's softmax, for the VJP
     for s0, s1, const in tiles:
         u_t, h_tt = u[..., s0:s1, :], h_t[..., :s1]
-        if shared:
-            diag_logits = (u_t * diag.data) @ h_tt
+        diag_logits = [(u_t * diag.data[i]) @ h_tt for i in range(n_diag)]
         tile = []
         for k in range(n_heads):
             kv_k = kvd[..., k, :s1, :]
             logits = qs[k][..., s0:s1, :] @ np.swapaxes(kv_k, -1, -2)
-            if shared:
-                logits += diag_logits
-            elif diag is not None:
-                logits += (u_t * diag.data[k]) @ h_tt
+            if n_diag:
+                logits += diag_logits[k % n_diag]
             logits *= inv_tau
             p = softmax_forward(logits, const if alibi is None else const[k])
             del logits
@@ -603,13 +600,11 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
         # g_kv and the diagonal's g_h sum over every tile that reads a key
         g_qs = [np.empty(q.shape) for q in qs]
         g_kv = np.zeros_like(kvd)
-        g_uds = g_h = None
-        if diag is not None:
-            g_uds = [np.empty(u.shape) for _ in range(diag.shape[0])]
-            g_h = np.zeros_like(hd)
+        g_uds = [np.empty(u.shape) for _ in range(n_diag)]
+        g_h = np.zeros_like(hd) if n_diag else None
         for (s0, s1, _), tile in zip(tiles, probs):
             u_t, h_tt = u[..., s0:s1, :], hd[..., :s1, :]
-            g_diag_logits = None
+            g_diag_logits = [None] * n_diag  # per row, summed over its heads
             for k, p in enumerate(tile):
                 kv_k = kvd[..., k, :s1, :]
                 g_read = g_reads[k][..., s0:s1, :]
@@ -623,17 +618,15 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
                 g_kv_k = g_kv[..., k, :s1, :]
                 g_kv_k += np.swapaxes(p, -1, -2) @ g_read
                 g_kv_k += np.swapaxes(g_logits, -1, -2) @ qs[k][..., s0:s1, :]
-                if shared:
-                    if g_diag_logits is None:
-                        g_diag_logits = g_logits
+                if n_diag:
+                    i = k % n_diag
+                    if g_diag_logits[i] is None:
+                        g_diag_logits[i] = g_logits
                     else:
-                        g_diag_logits += g_logits
-                elif diag is not None:
-                    np.matmul(g_logits, h_tt, out=g_uds[k][..., s0:s1, :])
-                    g_h[..., :s1, :] += np.swapaxes(g_logits, -1, -2) @ (u_t * diag.data[k])
-            if shared:
-                np.matmul(g_diag_logits, h_tt, out=g_uds[0][..., s0:s1, :])
-                g_h[..., :s1, :] += np.swapaxes(g_diag_logits, -1, -2) @ (u_t * diag.data)
+                        g_diag_logits[i] += g_logits
+            for i, g_dl in enumerate(g_diag_logits):
+                np.matmul(g_dl, h_tt, out=g_uds[i][..., s0:s1, :])
+                g_h[..., :s1, :] += np.swapaxes(g_dl, -1, -2) @ (u_t * diag.data[i])
         g_u = None
         for k in range(n_heads):
             g_wq[k] += _outer_rows(g_qs[k], u)

@@ -87,31 +87,6 @@ class Tensor:
         traced = "traced" if self.node is not None else "const"
         return f"Tensor(shape={self.data.shape}, {traced})"
 
-    # arithmetic sugar; all routed through the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Context manager that records ops for one backward pass.

@@ -5,7 +5,7 @@ The optimizer is decoupled-decay Adam over the named parameter dict of a
 model; the schedule is linear warmup into a cosine decay with a floor.
 Metrics stream as line-delimited JSON and summarize to CSV. The
 learning-rate estimator fits a local cubic through (rate, loss) knots
-and reads off the dense-sampled minimum.
+and reads off its exact minimum among the knots and critical points.
 """
 
 from __future__ import annotations
@@ -15,11 +15,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as md
 from .tensor import Tape, Tensor, clip_by_global_norm
+
+if TYPE_CHECKING:
+    from scipy.interpolate import Akima1DInterpolator
 
 
 class TrainingError(RuntimeError):
@@ -305,78 +309,37 @@ def regression_eval(model: md.Model, batches):
 
 @dataclass
 class AkimaCurve:
-    """Piecewise cubic through the knots, built from weighted chord slopes.
+    """Akima's (1970) local piecewise cubic through the knots.
 
     Knot derivatives blend the two adjacent chord slopes, each weighted
     by the slope variation on the opposite side, so the curve stays local
-    and does not overshoot near abrupt changes; equal slopes on both
-    sides (the undefined 0/0 case) fall back to the plain average. The
-    two phantom slopes past each boundary come from linear extrapolation
-    of the chord-slope sequence, which reproduces any quadratic on a
-    uniform grid exactly.
+    and does not overshoot near abrupt changes. scipy's
+    Akima1DInterpolator builds it; this wrapper confines evaluation to
+    the knot span and finds the exact minimum.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    derivs: np.ndarray
+    spline: Akima1DInterpolator
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        if np.any(xv < self.xs[0]) or np.any(xv > self.xs[-1]):
+        if np.any(x < self.spline.x[0]) or np.any(x > self.spline.x[-1]):
             raise InterpolationError("evaluation outside the knot span")
-        idx = np.clip(np.searchsorted(self.xs, xv, side="right") - 1, 0, len(self.xs) - 2)
-        x0, x1 = self.xs[idx], self.xs[idx + 1]
-        h = x1 - x0
-        t = (xv - x0) / h
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        out = (
-            h00 * self.ys[idx]
-            + h10 * h * self.derivs[idx]
-            + h01 * self.ys[idx + 1]
-            + h11 * h * self.derivs[idx + 1]
-        )
-        return float(out[0]) if scalar else out
+        out = self.spline(x)
+        return float(out) if out.ndim == 0 else out
 
-    def argmin(self, resolution: float = 1e-3):
+    def argmin(self):
         """Location and value of the curve minimum over the knot span.
 
-        Dense grid at the given resolution of the span, then a shrinking
-        three-point refinement around the best grid point; exact ties
-        keep the leftmost candidate, so a flat curve reports the left
-        endpoint.
+        A cubic piece attains its minimum at an end or at a critical
+        point, so the knots plus the derivative's roots inside the span
+        hold it exactly. Ties keep the leftmost candidate, so a flat
+        curve reports the left endpoint.
         """
-        lo, hi = float(self.xs[0]), float(self.xs[-1])
-        n = int(np.ceil(1.0 / resolution)) + 1
-        grid = np.linspace(lo, hi, n)
-        values = self(grid)
-        # leftmost point within rounding noise of the minimum, so flat
-        # stretches tie-break left instead of landing on a 1-ulp dip
-        v_min = float(values.min())
-        noise = 1e-12 * (1.0 + abs(v_min))
-        best = int(np.argmax(values <= v_min + noise))
-        x_best, y_best = float(grid[best]), float(values[best])
-
-        a = grid[max(best - 1, 0)]
-        b = grid[min(best + 1, n - 1)]
-        for _ in range(80):
-            third = (b - a) / 3.0
-            u, w = a + third, b - third
-            if self(u) <= self(w):
-                b = w
-            else:
-                a = u
-        x_ref = 0.5 * (a + b)
-        y_ref = float(self(x_ref))
-        # improvement must clear basis-evaluation rounding noise, otherwise
-        # the grid tie-break (leftmost) stands
-        if y_ref < y_best - 1e-12 * (1.0 + abs(y_best)):
-            return x_ref, y_ref
-        return x_best, y_best
+        roots = self.spline.derivative().roots(extrapolate=False)
+        candidates = np.sort(np.concatenate([self.spline.x, roots[np.isfinite(roots)]]))
+        values = self.spline(candidates)
+        best = int(np.argmin(values))
+        return float(candidates[best]), float(values[best])
 
 
 def akima_interpolate(xs, ys) -> AkimaCurve:
@@ -386,29 +349,17 @@ def akima_interpolate(xs, ys) -> AkimaCurve:
         raise InterpolationError(f"knots must be matching 1-d arrays, got {xs.shape} and {ys.shape}")
     if xs.size < 5:
         raise InterpolationError(f"need at least 5 knots, got {xs.size}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InterpolationError("knot positions and values must be finite")
     order = np.argsort(xs, kind="stable")
     xs, ys = xs[order], ys[order]
     if np.any(np.diff(xs) <= 0):
         raise InterpolationError("knot positions must be distinct")
+    # imported here: scipy.interpolate costs about 0.2 s, a third of the
+    # package import, and only the learning-rate sweep fits curves
+    from scipy.interpolate import Akima1DInterpolator
 
-    n = xs.size
-    slopes = np.empty(n + 3)
-    slopes[2 : n + 1] = np.diff(ys) / np.diff(xs)
-    slopes[1] = 2.0 * slopes[2] - slopes[3]
-    slopes[0] = 2.0 * slopes[1] - slopes[2]
-    slopes[n + 1] = 2.0 * slopes[n] - slopes[n - 1]
-    slopes[n + 2] = 2.0 * slopes[n + 1] - slopes[n]
-
-    derivs = np.empty(n)
-    for i in range(n):
-        w_left = abs(slopes[i + 3] - slopes[i + 2])   # variation on the right
-        w_right = abs(slopes[i + 1] - slopes[i])      # variation on the left
-        denom = w_left + w_right
-        if denom == 0.0:
-            derivs[i] = 0.5 * (slopes[i + 1] + slopes[i + 2])
-        else:
-            derivs[i] = (w_left * slopes[i + 1] + w_right * slopes[i + 2]) / denom
-    return AkimaCurve(xs=xs, ys=ys, derivs=derivs)
+    return AkimaCurve(Akima1DInterpolator(xs, ys))
 
 
 def lr_sweep_points(low: float = 5e-4, high: float = 8e-3, n: int = 5) -> np.ndarray:

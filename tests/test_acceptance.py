@@ -14,7 +14,7 @@ import pytest
 import energyformer.energy as en
 import energyformer.layers as ly
 import energyformer.verify as vf
-from energyformer.cli import ExperimentSpec, gp_variant_config, run_gp_regression, run_lm_smoke
+from energyformer.cli import ExperimentSpec, gp_variant_config, run_spec
 from energyformer.model import count_parameters_config, preset
 from energyformer.tensor import Tensor
 from energyformer.train import akima_interpolate
@@ -225,13 +225,13 @@ def test_gp_recursion_ordering(tmp_path):
     optim = {"lr": 3e-3, "total_steps": 600, "batch_size": 512, "weight_decay": 0.0}
     arch = {"d_hidden": 16, "d_mlp": 32}
 
-    rbf = run_gp_regression(ExperimentSpec(
+    rbf = run_spec(ExperimentSpec(
         task="gp-regression", seeds=(0, 1, 2, 3, 4), out=str(tmp_path / "rbf"),
         data={"kernel": "rbf", "lengthscale": 0.8},
         optim=optim,
         task_options={**arch, "variants": ["plain", "gated", "cem-t1", "cem-t2"]},
     ))["rows"]
-    periodic = run_gp_regression(ExperimentSpec(
+    periodic = run_spec(ExperimentSpec(
         task="gp-regression", seeds=(0, 1, 2, 3, 4), out=str(tmp_path / "per"),
         data={"kernel": "periodic", "lengthscale": 1.5, "period": 2.0},
         optim=optim,
@@ -257,7 +257,7 @@ def test_gp_recursion_ordering(tmp_path):
 
 def test_lm_smoke_stability(tmp_path):
     t0 = time.perf_counter()
-    out = run_lm_smoke(ExperimentSpec(
+    out = run_spec(ExperimentSpec(
         task="lm-smoke", seeds=(0,), out=str(tmp_path / "runs"),
         optim={"total_steps": 500, "batch_size": 8},
     ))

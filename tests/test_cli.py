@@ -16,9 +16,7 @@ from energyformer.cli import (
     main,
     parse_variant,
     resolve_model_config,
-    run_gp_regression,
-    run_lm_smoke,
-    run_lr_sweep,
+    run_spec,
     spec_hash,
     task_dir_for,
 )
@@ -231,7 +229,7 @@ def test_lm_smoke_eval_windows_are_held_out(tmp_path, monkeypatch):
 
 def test_lm_smoke_reduction_is_held_out_eval_before_and_after(tmp_path):
     spec = ExperimentSpec(out=str(tmp_path / "runs"), **LM_SPEC)
-    result = run_lm_smoke(spec)["results"][0]
+    result = run_spec(spec)["results"][0]
     held_out = cli._lm_windows(spec)[: cli.EVAL_WINDOWS]
     before = lm_eval(build_model(resolve_model_config(LM_SPEC["model"]), seed=0), held_out)
     assert result["reduction"] == 1.0 - result["eval"]["loss"] / before["loss"]
@@ -256,7 +254,7 @@ def test_gp_task_writes_paired_artifacts(tmp_path):
         task_options={"d_hidden": 8, "d_mlp": 16,
                       "variants": ["gated", "cem-t1", "cem-t2"]},
     )
-    out = run_gp_regression(spec)
+    out = run_spec(spec)
     task_dir = Path(out["dir"])
     rows = json.loads((task_dir / "gp-results.json").read_text())
     assert len(rows) == 6  # 2 seeds x 3 variants
@@ -284,7 +282,7 @@ def test_gp_task_deterministic_per_seed(tmp_path):
                    "weight_decay": 0.0},
             task_options={"d_hidden": 8, "d_mlp": 16, "variants": ["cem-t1"]},
         )
-        results.append(run_gp_regression(spec)["rows"][0]["rmse_test"])
+        results.append(run_spec(spec)["rows"][0]["rmse_test"])
     assert results[0] == results[1]
 
 
@@ -297,7 +295,7 @@ def test_lr_sweep_produces_argmin_annotation(tmp_path):
         optim={"total_steps": 3, "batch_size": 4},
         task_options={"n_points": 5, "low": 1e-3, "high": 8e-3},
     )
-    out = run_lr_sweep(spec)
+    out = run_spec(spec)
     assert len(out["points"]) == 5
     assert "best_lr" in out
     task_dir = Path(out["dir"])
@@ -305,6 +303,23 @@ def test_lr_sweep_produces_argmin_annotation(tmp_path):
     assert plot[0] == "lr,loss,kind"
     assert plot[-1].endswith("akima-argmin")
     assert len(plot) == 7  # header + 5 samples + argmin
+
+
+def test_lr_sweep_scores_held_out_eval_loss(tmp_path):
+    spec = ExperimentSpec(
+        task="lr-sweep", seeds=(0, 1), out=str(tmp_path / "runs"),
+        data={"seq_len": 17}, model=LM_SPEC["model"], optim=LM_SPEC["optim"],
+        task_options={"lrs": [1e-3, 4e-3]},
+    )
+    out = run_spec(spec)
+    for point in out["points"]:
+        for seed, loss in zip(spec.seeds, point["per_seed"]):
+            run_dir = Path(out["dir"]) / f"lr{point['lr']:.6g}-seed{seed}"
+            records = [json.loads(line)
+                       for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
+            final_eval = [r["value"] for r in records
+                          if r["split"] == "eval" and r["metric"] == "loss"][-1]
+            assert loss == final_eval
 
 
 def test_verify_task_end_to_end(tmp_path, capsys):
@@ -333,6 +348,15 @@ def test_emit_plotdata_errors(tmp_path):
     (tmp_path / "sweep-points.json").write_text(json.dumps([{"lr": 1e-3}]))
     with pytest.raises(DataError, match="missing metric key 'loss'"):
         emit_plotdata(tmp_path)
+
+
+def test_emit_plotdata_rejects_non_finite_sweep_points(tmp_path):
+    for key, bad in (("loss", float("nan")), ("lr", float("inf"))):
+        points = [{"lr": lr, "loss": 2.0} for lr in (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)]
+        points[2][key] = bad
+        (tmp_path / "sweep-points.json").write_text(json.dumps(points))
+        with pytest.raises(DataError, match=f"{key} .* is not a finite number"):
+            emit_plotdata(tmp_path)
 
 
 def test_emit_plotdata_single_point_passthrough(tmp_path):

@@ -389,6 +389,28 @@ def test_interpolation_input_errors():
         curve(5.5)  # outside the span
 
 
+def test_non_finite_knots_rejected():
+    with pytest.raises(InterpolationError, match="finite"):
+        akima_interpolate(np.arange(5.0), [3.0, 2.0, np.nan, 2.5, 3.0])
+    with pytest.raises(InterpolationError, match="finite"):
+        akima_interpolate([0.0, 1.0, np.inf, 3.0, 4.0], np.ones(5))
+    with pytest.raises(InterpolationError, match="finite"):
+        estimate_lr_optimum(lr_sweep_points(), [3.0, 2.0, np.nan, 2.5, 3.0])
+
+
+def test_argmin_no_higher_than_dense_grid_on_non_convex_curves():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        xs = np.sort(rng.uniform(0.0, 10.0, size=int(rng.integers(5, 12))))
+        while np.any(np.diff(xs) < 1e-3):
+            xs = np.sort(rng.uniform(0.0, 10.0, size=len(xs)))
+        curve = akima_interpolate(xs, rng.normal(size=len(xs)))
+        x_min, y_min = curve.argmin()
+        assert xs[0] <= x_min <= xs[-1]
+        assert y_min == curve(x_min)
+        assert y_min <= curve(np.linspace(xs[0], xs[-1], 10_001)).min()
+
+
 def test_unsorted_knots_are_sorted_internally():
     xs = np.array([3.0, 0.0, 4.0, 1.0, 2.0])
     curve = akima_interpolate(xs, (xs - 2.0) ** 2)
