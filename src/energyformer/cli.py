@@ -139,6 +139,11 @@ class ExperimentSpec:
                 resolve_optim_config(self.optim)
         except (TrainingError, SpecError, TypeError) as exc:
             raise SpecError(f"optim: {exc}") from exc
+        if self.task == "count":
+            try:
+                count_models(self.task_options)
+            except (ConfigError, SpecError, TypeError) as exc:
+                raise SpecError(f"task_options.models: {exc}") from exc
         if self.task == "gp-regression":
             try:
                 gp_kernel_spec(self.data)
@@ -444,18 +449,23 @@ def run_verify(spec: ExperimentSpec, task_dir: Path) -> dict:
     return report
 
 
-def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
-    entries = spec.task_options.get("models", ["ref-86m", "cem-86m"])
-    seq_len = spec.task_options.get("seq_len", 128)
-    resolved = []
-    for entry in entries:
-        payload = {"preset": entry} if isinstance(entry, str) else entry
-        name = entry if isinstance(entry, str) else entry.get("name", "custom")
-        resolved.append((name, resolve_model_config(payload)))
+def count_models(options: dict) -> dict[str, ModelConfig]:
+    """task_options.models by name; an inline entry's "name" defaults to "custom"."""
+    models = {}
+    for entry in options.get("models", ["ref-86m", "cem-86m"]):
+        payload = {"preset": entry} if isinstance(entry, str) else dict(entry)
+        name = entry if isinstance(entry, str) else payload.pop("name", "custom")
+        if name in models:
+            raise SpecError(f"duplicate model name {name!r}")
+        models[name] = resolve_model_config(payload)
+    return models
 
+
+def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
+    seq_len = spec.task_options.get("seq_len", 128)
     rows = []
     table = {}
-    for name, cfg in resolved:
+    for name, cfg in count_models(spec.task_options).items():
         params = count_parameters_config(cfg)
         flops = count_flops(cfg, seq_len=seq_len)
         table[name] = {"params": params, "flops_per_token": flops["per_token"]}
@@ -465,9 +475,9 @@ def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
               f"mlp_core={params['mlp_core']:,} flops/token={flops['per_token']:,}")
 
     ratios = {}
-    if len(resolved) == 2:
-        (name_a, cfg_a), (name_b, cfg_b) = resolved
-        pa, pb = count_parameters_config(cfg_a), count_parameters_config(cfg_b)
+    if len(table) == 2:
+        (name_a, a), (name_b, b) = table.items()
+        pa, pb = a["params"], b["params"]
         for key in ("attention_core", "mlp_core", "total"):
             if pa[key]:
                 frac = Fraction(pb[key], pa[key])

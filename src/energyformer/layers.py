@@ -211,7 +211,6 @@ class AlibiParams:
 class PreconditionerParams:
     """Symmetric positive-leaning preconditioner, never materialized.
 
-    kind "identity": no parameters.
     kind "diagonal": diag(softplus(scale * p)) with scale = sqrt(dim);
         p stored at O(1/sqrt(dim)) so the diagonal starts near
         softplus(1).
@@ -221,14 +220,14 @@ class PreconditionerParams:
 
     kind: str
     dim: int
-    p: Tensor | None = None
+    p: Tensor
     u: Tensor | None = None
     v: Tensor | None = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "diagonal", "diag_lowrank"):
+        if self.kind not in ("diagonal", "diag_lowrank"):
             raise DomainError(f"unknown preconditioner kind {self.kind!r}")
-        if self.kind != "identity" and (self.p is None or self.p.shape != (self.dim,)):
+        if self.p.shape != (self.dim,):
             raise DimensionError("diagonal preconditioner needs p of shape (dim,)")
         if self.kind == "diag_lowrank":
             if self.u is None or self.v is None:
@@ -239,17 +238,9 @@ class PreconditionerParams:
                     f"{self.u.shape} and {self.v.shape}"
                 )
 
-    @property
-    def rank(self) -> int:
-        return 0 if self.kind != "diag_lowrank" else self.u.shape[1]
-
-
-def identity_preconditioner(dim: int) -> PreconditionerParams:
-    return PreconditionerParams(kind="identity", dim=dim)
-
 
 def _check_preconditioner_dim(params: PreconditionerParams, dim: int) -> None:
-    if params.kind != "identity" and dim != params.dim:
+    if dim != params.dim:
         raise DimensionError(
             f"preconditioner dim {params.dim} does not match state dim {dim}"
         )
@@ -258,11 +249,9 @@ def _check_preconditioner_dim(params: PreconditionerParams, dim: int) -> None:
 def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
     """P applied to rows of g without forming the (dim, dim) matrix.
 
-    identity returns g itself. The diagonal factor is softplus(sqrt(dim)
-    p); the low-rank part is the symmetric pair (g u) v.T + (g v) u.T.
+    The diagonal factor is softplus(sqrt(dim) p); the low-rank part is the
+    symmetric pair (g u) v.T + (g v) u.T.
     """
-    if params.kind == "identity":
-        return g
     out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))
     if params.kind == "diag_lowrank":
         u, v = params.u.data, params.v.data
@@ -273,8 +262,6 @@ def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
 
 def precondition_vjp(c: np.ndarray, g: np.ndarray, params: PreconditionerParams):
     """Cotangents (g, p, u, v) of precondition at g; None for absent factors."""
-    if params.kind == "identity":
-        return c, None, None, None
     scale = float(np.sqrt(params.dim))
     arg = params.p.data * scale
     g_g = c * np.logaddexp(0.0, arg)
@@ -298,9 +285,7 @@ def _preconditioner_tensors(params: PreconditionerParams) -> tuple[Tensor, ...]:
 
 
 def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
-    """P applied to rows of a traced g, one tape node; identity returns g itself."""
-    if params.kind == "identity":
-        return g
+    """P applied to rows of a traced g, one tape node."""
     _check_preconditioner_dim(params, g.shape[-1])
     parents = (g, *_preconditioner_tensors(params))
     return record(
@@ -312,8 +297,6 @@ def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
 
 def materialize_preconditioner(params: PreconditionerParams) -> np.ndarray:
     """Dense P for tests: diag(softplus(sqrt(dim) p)) + u v.T + v u.T."""
-    if params.kind == "identity":
-        return np.eye(params.dim)
     scale = float(np.sqrt(params.dim))
     mat = np.diag(np.logaddexp(0.0, scale * params.p.data))
     if params.kind == "diag_lowrank":
@@ -570,7 +553,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
         delta = pre if precond is None else precondition(pre, precond[k])
         if upd is None:
             # may alias the first head's pre, which the VJP reads back only
-            # for a non-identity preconditioner, whose delta is a new array
+            # when there is a preconditioner, whose delta is a new array
             upd = delta
         else:
             upd += delta

@@ -12,7 +12,6 @@ standard pre-norm wiring at a single plain step.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +29,6 @@ from .layers import (
     RmsNormParams,
     cem_attention,
     cem_mlp,
-    identity_preconditioner,
     plain_mlp,
     reference_gated_mlp,
     reference_mha,
@@ -152,16 +150,21 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """Config from parsed JSON; an unknown key or a value not of its field's
+        annotated type (an int may stand for a float) raises ConfigError."""
+        if not isinstance(data, dict) or not isinstance(data.get("block", {}), dict):
+            raise ConfigError("model config and its block must be JSON objects")
         data = dict(data)
         block_data = dict(data.pop("block", {}))
-        known = {f.name for f in dataclasses.fields(cls)} - {"block"}
-        bad = set(data) - known
-        if bad:
-            raise ConfigError(f"unknown model config keys: {sorted(bad)}")
-        bknown = {f.name for f in dataclasses.fields(BlockConfig)}
-        bbad = set(block_data) - bknown
-        if bbad:
-            raise ConfigError(f"unknown block config keys: {sorted(bbad)}")
+        for what, klass, given in (("model", cls, data), ("block", BlockConfig, block_data)):
+            types = {f.name: f.type.split(" | ") for f in dataclasses.fields(klass)}
+            bad = set(given) - set(types)
+            if bad:
+                raise ConfigError(f"unknown {what} config keys: {sorted(bad)}")
+            for key, value in given.items():
+                name = "None" if value is None else type(value).__name__
+                if name not in types[key] and not (name == "int" and "float" in types[key]):
+                    raise ConfigError(f"{key} must be {' | '.join(types[key])}, got {value!r}")
         cfg = cls(block=BlockConfig(**block_data), **data)
         cfg.validate()
         return cfg
@@ -195,8 +198,6 @@ def _gain(d: int) -> RmsNormParams:
 
 
 def _init_precond(kind: str, d: int, rank: int, rng: np.random.Generator) -> PreconditionerParams:
-    if kind == "identity":
-        return identity_preconditioner(d)
     p = Tensor(np.full(d, 1.0 / np.sqrt(d)))
     if kind == "diagonal":
         return PreconditionerParams(kind="diagonal", dim=d, p=p)
@@ -532,21 +533,16 @@ def count_parameters_config(cfg: ModelConfig) -> dict[str, int]:
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """Binary tensor container plus a JSON config sidecar, each replaced
+    """One container holding the config and every parameter, replaced
     atomically (serialize.write_atomic)."""
-    path = Path(path)
-    serialize.save_tensors(path, {k: v.data for k, v in named_parameters(model).items()})
-    sidecar = path.with_suffix(path.suffix + ".json")
-    config = json.dumps(model.config.to_dict(), indent=2, sort_keys=True)
-    serialize.write_atomic(sidecar, config.encode("utf-8"))
+    params = {k: v.data for k, v in named_parameters(model).items()}
+    serialize.save_tensors(path, params, model.config.to_dict())
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    path = Path(path)
-    sidecar = path.with_suffix(path.suffix + ".json")
-    cfg = ModelConfig.from_dict(json.loads(sidecar.read_text()))
+    meta, stored = serialize.load_tensors(path)
+    cfg = ModelConfig.from_dict(meta)
     model = build_model(cfg, seed=0)
-    stored = serialize.load_tensors(path)
     params = named_parameters(model)
     missing = set(params) - set(stored)
     extra = set(stored) - set(params)

@@ -1,8 +1,10 @@
-"""Flat binary container for named float64 tensors.
+"""Flat binary container for named float64 tensors and their metadata.
 
 Layout (all integers little-endian):
 
-    magic   b"EFT1"
+    magic   b"EFT2"
+    u32     header length in bytes
+    bytes   utf-8 JSON object (the metadata)
     u32     tensor count
     per tensor:
         u16     name length in bytes
@@ -17,6 +19,7 @@ byte is accounted for and that round-trips bit-exactly.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"EFT1"
+MAGIC = b"EFT2"
 
 
 class FormatError(ValueError):
@@ -52,9 +55,10 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Write the container through write_atomic."""
-    chunks = [MAGIC, struct.pack("<I", len(tensors))]
+def save_tensors(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write meta and tensors as one container through one write_atomic."""
+    header = json.dumps(meta, sort_keys=True).encode("utf-8")
+    chunks = [MAGIC, struct.pack("<I", len(header)), header, struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         # asarray keeps 0-d shapes; ascontiguousarray would promote to 1-d
         arr = np.asarray(arr, dtype="<f8", order="C")
@@ -91,12 +95,19 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
 
-def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container; any malformed or truncated input raises FormatError."""
+def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read (meta, tensors); any malformed or truncated input raises FormatError."""
     buf = Path(path).read_bytes()
     if buf[:4] != MAGIC:
         raise FormatError(f"bad magic {buf[:4]!r}, expected {MAGIC!r}")
     reader = _Reader(buf, len(MAGIC))
+    header = reader.take(reader.unpack("<I", "header length")[0], "header")
+    try:
+        meta = json.loads(bytes(header).decode("utf-8"))
+    except (ValueError, RecursionError) as err:  # bad utf-8 or JSON, or too deeply nested
+        raise FormatError(f"header is not utf-8 JSON: {err}") from err
+    if not isinstance(meta, dict):
+        raise FormatError(f"header must be a JSON object, got {type(meta).__name__}")
     (count,) = reader.unpack("<I", "tensor count")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -113,4 +124,4 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     if reader.pos != len(buf):
         raise FormatError(f"{len(buf) - reader.pos} trailing bytes after last tensor")
-    return out
+    return meta, out

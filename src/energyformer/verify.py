@@ -271,8 +271,6 @@ def random_mlp_params(seed: int, steps: int = 1, pure_gradient: bool = True) -> 
 def random_preconditioner(
     rng: np.random.Generator, dim: int, kind: str = "diag_lowrank", rank: int = 2
 ) -> ly.PreconditionerParams:
-    if kind == "identity":
-        return ly.identity_preconditioner(dim)
     p = Tensor(rng.normal(loc=1.0 / np.sqrt(dim), scale=0.1 / np.sqrt(dim), size=dim))
     if kind == "diagonal":
         return ly.PreconditionerParams(kind="diagonal", dim=dim, p=p)

@@ -54,12 +54,9 @@ def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
 def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
     """Apply P to rows of g without forming the (dim, dim) matrix.
 
-    identity returns g itself, bit-exact. The diagonal factor is
-    softplus-positive; the low-rank part is the symmetric pair
-    (g u) v.T + (g v) u.T.
+    The diagonal factor is softplus-positive; the low-rank part is the
+    symmetric pair (g u) v.T + (g v) u.T.
     """
-    if params.kind == "identity":
-        return g
     if g.shape[-1] != params.dim:
         raise DimensionError(
             f"preconditioner dim {params.dim} does not match state dim {g.shape[-1]}"

@@ -2,7 +2,9 @@
 
 Its tracer skips a patch point it cannot find and its isolated timings
 look layer functions up by name, so a rename under src/ would quietly
-zero per-layer bench rows. These tests make such a rename fail here.
+zero per-layer bench rows. Its workloads' constructors call CLI, model
+and verify helpers by name, so a rename there would fail only the
+bench. These tests make such a rename fail here.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import isolated  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 from energyformer import layers  # noqa: E402
 
@@ -38,3 +41,9 @@ def test_trace_patch_point_resolves(module, attribute):
 def test_isolated_layer_resolves(stem):
     fn_name = isolated.LAYERS[stem][3]
     assert callable(getattr(layers, fn_name, None)), f"energyformer.layers.{fn_name}"
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_constructs(name):
+    block, batch, seq = workloads.WORKLOADS[name]().iso_shape  # what run.py reads
+    assert callable(getattr(block, "validate", None)) and batch >= 1 and seq >= 1

@@ -162,6 +162,39 @@ def test_cli_count_end_to_end(tmp_path, capsys):
     assert (run_dirs[0] / "count.csv").exists()
 
 
+def test_cli_count_named_inline_entries(tmp_path):
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "count", "out": str(tmp_path / "runs"),
+        "task_options": {"models": [
+            {"preset": "cem-86m", "name": "wide", "block": {"d_mlp": 2048}},
+            {"preset": "cem-86m", "name": "narrow"},
+        ]},
+    })
+    assert main(["--spec", spec]) == 0
+    report = json.loads(next((tmp_path / "runs").glob("count-*/count.json")).read_text())
+    assert set(report["models"]) == {"wide", "narrow"}
+    assert report["models"]["wide"]["params"]["mlp_core"] > (
+        report["models"]["narrow"]["params"]["mlp_core"])
+
+
+@pytest.mark.parametrize("models", [
+    [{"preset": "cem-86m"}, {"preset": "ref-86m"}],  # both default to "custom"
+    ["cem-86m", {"preset": "ref-86m", "name": "cem-86m"}],
+    [{"preset": "cem-86m", "name": "x", "block": {"d_mlp": "wide"}}],
+    [{"preset": "cem-86m", "colour": "red"}],
+    ["no-such-preset"],
+    [5],
+])
+def test_cli_bad_count_models_exit_2(tmp_path, capsys, models):
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "count", "out": str(tmp_path / "runs"),
+        "task_options": {"models": models},
+    })
+    assert main(["--spec", spec]) == 2
+    assert "invalid spec" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_effective_config_round_trips(tmp_path):
     spec = _write_spec(tmp_path, {
         "version": 1, "task": "count", "out": str(tmp_path / "runs"),

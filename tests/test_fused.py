@@ -23,7 +23,7 @@ from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul, 
 FWD_TOL = 1e-12
 GRAD_TOL = 1e-10
 LEADS = ((), (2,), (2, 3))
-PRECONDS = ("none", "identity", "diagonal", "diag_lowrank")
+PRECONDS = ("none", "diagonal", "diag_lowrank")
 LONG = 150  # three query tiles at the real tile size, the last one ragged
 
 

@@ -305,12 +305,6 @@ def test_preconditioner_materialized_symmetric():
     npt.assert_allclose(mat, mat.T, rtol=0, atol=0)
 
 
-def test_identity_preconditioner_bit_exact_same_object():
-    g = Tensor(np.random.default_rng(702).normal(size=(3, 5)))
-    out = ly.apply_preconditioner(g, ly.identity_preconditioner(5))
-    assert out is g
-
-
 def test_preconditioner_init_diagonal_near_softplus_one():
     from energyformer.model import _init_precond
 
@@ -470,7 +464,7 @@ def test_layer_param_validation():
     with pytest.raises(DimensionError):
         ly.CemAttentionParams(
             w_q=t2, w_k=t2, tau=1.0,
-            precond=(ly.identity_preconditioner(4),),
+            precond=(vf.random_preconditioner(np.random.default_rng(0), 4, kind="diagonal"),),
         )
     with pytest.raises(DimensionError):
         ly.CemMlpParams(w=Tensor(np.zeros((3, 4))), v=Tensor(np.zeros((4, 3))))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from energyformer import verify
+from energyformer import serialize, verify
 from energyformer.layers import QUERY_TILE
 from energyformer.model import (
     BlockConfig,
@@ -112,6 +112,26 @@ def test_config_dict_rejects_unknown_keys():
 def test_config_dict_validates_values():
     with pytest.raises(ConfigError):
         ModelConfig.from_dict({"n_layers": 0})
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    [["kind", "lm"]],
+    {"block": 5},
+    {"block": []},
+    {"block": {"d_hidden": "x"}},
+    {"block": {"d_mlp": 2.5}},
+    {"block": {"alibi": "yes"}},
+    {"block": {"d_head": True}},
+    {"block": {"temperature": "x"}},
+    {"n_layers": None},
+    {"final_norm": 1},
+])
+def test_config_dict_rejects_wrongly_typed_input(payload):
+    # a checkpoint header feeds from_dict: bad types fail typed, not as
+    # a bare TypeError here or a late failure when the model is built
+    with pytest.raises(ConfigError):
+        ModelConfig.from_dict(payload)
 
 
 def test_temperature_defaults_to_sqrt_head_dim():
@@ -612,28 +632,22 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16))
     model = build_model(cfg, seed=0)
     path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
     other = dataclasses.replace(
         cfg, block=dataclasses.replace(cfg.block, d_mlp=24)
     )
-    sidecar = path.with_suffix(path.suffix + ".json")
-    import json
-
-    sidecar.write_text(json.dumps(other.to_dict()))
+    params = {k: v.data for k, v in named_parameters(model).items()}
+    serialize.save_tensors(path, params, other.to_dict())
     with pytest.raises(ConfigError):
         load_checkpoint(path)
 
 
 def test_checkpoint_missing_tensor_rejected(tmp_path):
-    from energyformer import serialize
-
     cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16))
     model = build_model(cfg, seed=0)
     path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
     params = {k: v.data for k, v in named_parameters(model).items()}
     params.pop("head_w")
-    serialize.save_tensors(path, params)
+    serialize.save_tensors(path, params, cfg.to_dict())
     with pytest.raises(ConfigError):
         load_checkpoint(path)
 
@@ -641,19 +655,16 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
 def test_checkpoint_with_per_head_names_rejected(tmp_path):
     # containers written before heads were stacked hold one tensor per
     # head (blocks.0.attn.w_q.0, ...); they must fail loudly, not load
-    from energyformer import serialize
-
     cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16))
     model = build_model(cfg, seed=0)
     path = tmp_path / "model.bin"
-    save_checkpoint(model, path)
     per_head = {}
     for name, t in named_parameters(model).items():
         if name.endswith((".w_q", ".w_k")):
             per_head.update({f"{name}.{k}": w for k, w in enumerate(t.data)})
         else:
             per_head[name] = t.data
-    serialize.save_tensors(path, per_head)
+    serialize.save_tensors(path, per_head, cfg.to_dict())
     with pytest.raises(ConfigError, match="attn.w_k"):
         load_checkpoint(path)
 
