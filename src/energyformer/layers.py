@@ -22,9 +22,16 @@ The recurrent attention step walks causal query tiles of QUERY_TILE
 rows: tile [s0, s1) builds its logits, softmax and read-out against keys
 [0, s1) only, so the masked keys past its last row are never touched,
 and heads run inside each query tile. ALiBi and the causal mask are one
-additive constant per tile. At J = 256 that is 10 of the 16 64x64
-blocks; at J <= QUERY_TILE there is one tile and the arithmetic is the
-dense layer's. The reference attention stays dense: it is the oracle.
+additive constant per tile, added to the logits in place, and the
+softmax overwrites them. At J = 256 that is 10 of the 16 64x64 blocks.
+1/tau is folded once into the query weights and the K/Q diagonal, so
+the logits come out scaled; the composed layer scales them afterwards,
+so even at one tile the two agree to rounding rather than bit for bit.
+The reference attention stays dense: it is the oracle.
+
+Off the tape, the MLP step runs silu and the gate product in place in
+its up-projection, and both steps apply the low-rank preconditioner
+pair as one product against [u | v].
 
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
@@ -40,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .tensor import (
     DimensionError,
@@ -52,6 +58,7 @@ from .tensor import (
     record,
     recording,
     reshape,
+    sigmoid,
     silu,
     silu_forward,
     silu_vjp,
@@ -246,17 +253,22 @@ def _check_preconditioner_dim(params: PreconditionerParams, dim: int) -> None:
         )
 
 
+def _lowrank_pair(params: PreconditionerParams) -> tuple[np.ndarray, np.ndarray]:
+    """([u | v], [v | u]): (g u) v.T + (g v) u.T is (g [u | v]) [v | u].T."""
+    u, v = params.u.data, params.v.data
+    return np.concatenate([u, v], axis=1), np.concatenate([v, u], axis=1)
+
+
 def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
     """P applied to rows of g without forming the (dim, dim) matrix.
 
     The diagonal factor is softplus(sqrt(dim) p); the low-rank part is the
-    symmetric pair (g u) v.T + (g v) u.T.
+    symmetric pair (g u) v.T + (g v) u.T, applied as one product.
     """
     out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))
     if params.kind == "diag_lowrank":
-        u, v = params.u.data, params.v.data
-        out += (g @ u) @ v.T
-        out += (g @ v) @ u.T
+        uv, vu = _lowrank_pair(params)
+        out += (g @ uv) @ vu.T
     return out
 
 
@@ -265,14 +277,13 @@ def precondition_vjp(c: np.ndarray, g: np.ndarray, params: PreconditionerParams)
     scale = float(np.sqrt(params.dim))
     arg = params.p.data * scale
     g_g = c * np.logaddexp(0.0, arg)
-    g_p = _rows(c * g).sum(axis=0) * expit(arg) * scale
+    g_p = _rows(c * g).sum(axis=0) * sigmoid(arg) * scale
     if params.kind == "diagonal":
         return g_g, g_p, None, None
     # with uv = [u | v]: c uv = [cu | cv], g uv = [gu | gv], and
     # g_g += cv u^T + cu v^T, g_u = g^T cv + c^T gv, g_v = g^T cu + c^T gu
     rank = params.u.shape[1]
-    uv = np.concatenate([params.u.data, params.v.data], axis=1)
-    vu = np.concatenate([params.v.data, params.u.data], axis=1)
+    uv, vu = _lowrank_pair(params)
     c_uv = c @ uv
     g_g += c_uv @ vu.T
     both = _outer_rows(g, c_uv) + _outer_rows(c, g @ uv)
@@ -479,8 +490,8 @@ def _query_tiles(n: int, alibi: AlibiParams | None) -> list[tuple[int, int, np.n
 
     Tile rows s0 <= i < s1 see keys j < s1 only; const is their additive
     logit constant, the causal mask plus, with ALiBi, the (K, s1 - s0, s1)
-    bias rows. Folding the mask into the bias keeps the composed layer's
-    bits, because (x + b) + m == x + (b + m) for m in {0, -inf}.
+    bias rows. Folding the mask into the bias changes no bit of the
+    logits, because (x + b) + m == x + (b + m) for m in {0, -inf}.
     """
     if n < 1:
         raise DomainError("attention needs a sequence of length >= 1")
@@ -500,11 +511,13 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
     Logits, softmax and read-out run tile by tile over the causal query
     tiles of _query_tiles, so the masked keys past a tile's last row are
     never computed; heads run inside each query tile. The projections
-    into and out of the heads run over the whole sequence. Within a
-    tile the forward keeps the elementwise operations and their order
-    from the composed layer in tests/composed_reference.py, so at one
-    tile (J <= QUERY_TILE) both give the same bits; in-place updates
-    only spare the temporaries.
+    into and out of the heads run over the whole sequence. 1/tau is
+    folded once into the query weights and the K/Q diagonal rather than
+    scaling every tile's logits, and each tile's logits take the tile
+    constant and the softmax in place, since nothing else reads them.
+    The fold rounds differently from the composed layer in
+    tests/composed_reference.py, which scales the logits, so the two
+    agree to rounding, not bit for bit, even at one tile.
     """
     norm, diag, precond, alibi = params.inner_norm, params.diag, params.precond, params.alibi
     eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
@@ -527,21 +540,22 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
     u, y, r = _normalised_state(xd, norm)
     h_t = np.swapaxes(hd, -1, -2)
     n_diag = 0 if diag is None else diag.shape[0]  # one row shared, or one per head
-    qs = [u @ w_q[k].T for k in range(n_heads)]
+    w_qt = w_q * inv_tau
+    diag_t = None if diag is None else diag.data * inv_tau
+    qs = [u @ w_qt[k].T for k in range(n_heads)]
     reads = [np.empty(q.shape) for q in qs]
     probs = []  # per tile, each head's softmax, for the VJP
     for s0, s1, const in tiles:
         u_t, h_tt = u[..., s0:s1, :], h_t[..., :s1]
-        diag_logits = [(u_t * diag.data[i]) @ h_tt for i in range(n_diag)]
+        diag_logits = [(u_t * diag_t[i]) @ h_tt for i in range(n_diag)]
         tile = []
         for k in range(n_heads):
             kv_k = kvd[..., k, :s1, :]
             logits = qs[k][..., s0:s1, :] @ np.swapaxes(kv_k, -1, -2)
             if n_diag:
                 logits += diag_logits[k % n_diag]
-            logits *= inv_tau
-            p = softmax_forward(logits, const if alibi is None else const[k])
-            del logits
+            logits += const if alibi is None else const[k]
+            p = softmax_forward(logits)  # in place: p is the logits array
             np.matmul(p, kv_k, out=reads[k][..., s0:s1, :])
             if keep:
                 tile.append(p)
@@ -596,7 +610,6 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
                     g_self, g_cross = alibi.offset_grads(g_logits, s0)
                     grads.add(alibi.b_self, g_self)
                     grads.add(alibi.b_cross, g_cross)
-                g_logits *= inv_tau
                 np.matmul(g_logits, kv_k, out=g_qs[k][..., s0:s1, :])
                 g_kv_k = g_kv[..., k, :s1, :]
                 g_kv_k += np.swapaxes(p, -1, -2) @ g_read
@@ -609,11 +622,11 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
                         g_diag_logits[i] += g_logits
             for i, g_dl in enumerate(g_diag_logits):
                 np.matmul(g_dl, h_tt, out=g_uds[i][..., s0:s1, :])
-                g_h[..., :s1, :] += np.swapaxes(g_dl, -1, -2) @ (u_t * diag.data[i])
+                g_h[..., :s1, :] += np.swapaxes(g_dl, -1, -2) @ (u_t * diag_t[i])
         g_u = None
         for k in range(n_heads):
-            g_wq[k] += _outer_rows(g_qs[k], u)
-            g_uk = g_qs[k] @ w_q[k]
+            g_wq[k] += _outer_rows(g_qs[k], u) * inv_tau
+            g_uk = g_qs[k] @ w_qt[k]
             if g_u is None:
                 g_u = g_uk
             else:
@@ -621,8 +634,8 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
         if diag is not None:
             g_diag = np.empty_like(diag.data)
             for i, g_ud in enumerate(g_uds):
-                g_diag[i] = _rows(g_ud * u).sum(axis=0)
-                g_ud *= diag.data[i]
+                g_diag[i] = _rows(g_ud * u).sum(axis=0) * inv_tau
+                g_ud *= diag_t[i]
                 g_u += g_ud
             grads.add(diag, g_diag)
             grads.add(h, g_h)
@@ -686,7 +699,7 @@ def cem_mlp(h: Tensor, params: CemMlpParams) -> Tensor:
 
 def _mlp_step(x: Tensor, gate: Tensor, params: CemMlpParams) -> Tensor:
     """x + eta * P (gate * silu(v u)) v as one tape node, in the composed
-    layer's arithmetic order."""
+    layer's arithmetic order up to the preconditioner's low-rank product."""
     norm, precond = params.inner_norm, params.precond
     eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
     parents = [x, gate, params.v]
@@ -700,10 +713,14 @@ def _mlp_step(x: Tensor, gate: Tensor, params: CemMlpParams) -> Tensor:
     xd, v = x.data, params.v.data
     u, y, r = _normalised_state(xd, norm)
     a = u @ v.T
-    z, s = silu_forward(a)
-    if not recording(parents):
-        a = s = None  # no VJP will read them: free before the gate product
-    m = gate.data * z
+    if recording(parents):
+        z, s = silu_forward(a)
+        m = gate.data * z
+    else:
+        # no VJP will read a, s or z: a becomes silu(a), then the gate product
+        z, s = silu_forward(a, out=a)
+        m = np.multiply(z, gate.data, out=z)
+        a = s = z = None
     pre = m @ v
     step = pre if precond is None else precondition(pre, precond)
     out = step * eta

@@ -36,18 +36,17 @@ from .layers import (
 )
 from .energy import alibi_slopes
 from .tensor import (
+    DimensionError,
+    DomainError,
     Tensor,
     add,
-    exp,
     gather_rows,
-    log,
     matmul,
     mul,
+    record,
     sub,
     swap_last2,
-    take_along_lastdim,
     tmean,
-    tsum,
 )
 
 
@@ -115,8 +114,12 @@ class BlockConfig:
             raise ConfigError("attn_precond_rank must be >= 1")
         if self.mlp_precond == "diag_lowrank" and self.mlp_precond_rank < 1:
             raise ConfigError("mlp_precond_rank must be >= 1")
-        if self.temperature is not None and self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        if self.temperature is not None and not (0 < self.temperature < np.inf):
+            raise ConfigError(f"temperature must be positive and finite, got {self.temperature}")
+        if not (np.isfinite(self.attn_eta) and np.isfinite(self.mlp_eta)):
+            raise ConfigError(
+                f"attn_eta and mlp_eta must be finite, got {self.attn_eta} and {self.mlp_eta}"
+            )
 
 
 @dataclass
@@ -367,17 +370,35 @@ def forward(model: Model, inputs: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean token-level cross entropy from raw logits.
+    """Mean token-level cross entropy from raw logits, one tape node.
 
-    Stable log-sum-exp with a detached shift: the max is a constant by
-    shift invariance, so excluding it from the tape changes nothing.
+    Stable log-sum-exp behind a max shift: mean(log sum exp(z - m) + m
+    - z[target]). The VJP is (softmax - onehot(target)) * g / N.
     """
+    z = logits.data
     targets = np.asarray(targets)
-    m = np.max(logits.data, axis=-1, keepdims=True)
-    shifted = sub(logits, Tensor(m))
-    lse = add(log(tsum(exp(shifted), axis=-1)), Tensor(m[..., 0]))
-    picked = take_along_lastdim(logits, targets)
-    return tmean(sub(lse, picked))
+    if targets.shape != z.shape[:-1]:
+        raise DimensionError(
+            f"cross_entropy: target shape {targets.shape} must equal {z.shape[:-1]}"
+        )
+    if np.any(targets < 0) or np.any(targets >= z.shape[-1]):
+        raise DomainError("cross_entropy target out of range")
+    idx = targets[..., None]
+    m = np.max(z, axis=-1, keepdims=True)
+    picked = np.take_along_axis(z, idx, axis=-1)[..., 0]
+    e = z - m
+    np.exp(e, out=e)
+    total = e.sum(axis=-1)
+    loss = np.mean(np.log(total) + m[..., 0] - picked)
+
+    def vjp(g):
+        # e and total are read, never written: backward may run twice
+        g_n = g * (1.0 / total.size)
+        grad = e * (g_n / total)[..., None]
+        np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=-1) - g_n, axis=-1)
+        return (grad,)
+
+    return record(np.asarray(loss), (logits,), vjp)
 
 
 def mse(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -698,6 +719,8 @@ def _flops_precond_rows(kind: str, rank: int, rows: int, d: int) -> int:
 
 def preset(name: str) -> ModelConfig:
     """Named large-scale configurations and the desk-scale defaults."""
+    if not isinstance(name, str):
+        raise ConfigError(f"preset name must be a string, got {name!r}")
     shapes = {
         "86m": (672, 8, 8, 1792),
         "108m": (672, 12, 12, 1792),

@@ -3,9 +3,13 @@
 A deliberately small op set: every primitive here has a hand-written
 backward rule. Most differentiable code in the package is composed from
 these; the exceptions are the fused layer primitives in layers.py
-(rmsnorm and one node per recurrent step), which build their own nodes
-through record() from the numpy forward/VJP helpers defined there and
-here (softmax, silu). Gradients are exact up to float64 rounding; no
+(rmsnorm and one node per recurrent step) and the cross-entropy loss in
+model.py, which build their own nodes through record() from numpy
+forward/VJP helpers defined there and here (softmax, silu, sigmoid).
+Those helpers spare fresh arrays on the hot path: sigmoid is numpy-only
+and built in one array through out=, silu_forward can write its product
+over its input, and softmax_forward works in place on an array its
+caller no longer needs. Gradients are exact up to float64 rounding; no
 numerical differentiation happens outside the verification oracles.
 
 Recording is explicit: ops only build graph nodes while a Tape is
@@ -17,7 +21,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy.special import expit as _expit
 
 
 class DimensionError(ValueError):
@@ -340,32 +343,27 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 # elementwise nonlinearities
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out = np.exp(a.data)
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) in one fresh array, numpy only.
 
-    def vjp(g):
-        return (g * out,)
-
-    return record(out, (a,), vjp)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log requires strictly positive input")
-    out = np.log(a.data)
-
-    def vjp(g):
-        return (g / a.data,)
-
-    return record(out, (a,), vjp)
+    Stable without branching: for a < -709 exp(-a) overflows to inf and
+    the result is exactly 0, where the true value is below the smallest
+    normal float; for large a, exp(-a) underflows and the result is 1.
+    NaN propagates. A 0-d input gives a 0-d array.
+    """
+    s = np.negative(a, out=np.empty(a.shape))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    return s
 
 
-def silu_forward(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a * sigmoid(a), sigmoid(a)); the sigmoid feeds silu_vjp."""
-    s = _expit(a)
-    return a * s, s
+def silu_forward(a: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(a * sigmoid(a), sigmoid(a)); the sigmoid feeds silu_vjp. The
+    product goes to out when given, which may be a itself."""
+    s = sigmoid(a)
+    return np.multiply(a, s, out=out), s
 
 
 def silu_vjp(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -395,7 +393,7 @@ def softplus(a) -> Tensor:
     out = np.logaddexp(0.0, a.data)
 
     def vjp(g):
-        return (g * _expit(a.data),)
+        return (g * sigmoid(a.data),)
 
     return record(out, (a,), vjp)
 
@@ -446,17 +444,15 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 # softmax and indexing
 
 
-def softmax_forward(a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Masked softmax along the last axis of a plain array.
+def softmax_forward(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of a plain array, in place: z is
+    overwritten with the probabilities and returned.
 
-    mask is a constant array broadcastable to a's shape; masked-out
-    entries hold -inf and receive exactly zero probability and zero
-    gradient. A row with every entry masked has no valid distribution
-    and raises DomainError rather than returning NaN.
+    Entries of -inf (an additive mask already folded in) receive exactly
+    zero probability and zero gradient. A row with every entry masked
+    has no valid distribution and raises DomainError rather than
+    returning NaN.
     """
-    # one fresh array, then in place: the same elementwise operations as
-    # exp(z - m) / sum, without a temporary per stage
-    z = a.copy() if mask is None else a + mask
     m = np.max(z, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise DomainError("softmax row is fully masked or non-finite")
@@ -475,9 +471,11 @@ def softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def softmax_lastdim(a, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along the last axis with optional additive mask (see softmax_forward)."""
+    """Softmax along the last axis with an optional additive mask, a
+    constant array broadcastable to a's shape holding 0 or -inf (see
+    softmax_forward)."""
     a = _wrap(a)
-    out = softmax_forward(a.data, mask)
+    out = softmax_forward(a.data.copy() if mask is None else a.data + mask)
 
     def vjp(g):
         return (softmax_vjp(g, out),)
@@ -501,26 +499,6 @@ def gather_rows(table, idx: np.ndarray) -> Tensor:
         return (gt,)
 
     return record(out, (table,), vjp)
-
-
-def take_along_lastdim(a, idx: np.ndarray) -> Tensor:
-    """Pick one entry per trailing row: out[...] = a[..., idx[...]]."""
-    a = _wrap(a)
-    idx = np.asarray(idx)
-    if idx.shape != a.shape[:-1]:
-        raise DimensionError(
-            f"take_along_lastdim: index shape {idx.shape} must equal {a.shape[:-1]}"
-        )
-    if np.any(idx < 0) or np.any(idx >= a.shape[-1]):
-        raise DomainError("take_along_lastdim index out of range")
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
-        return (ga,)
-
-    return record(out, (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Composed-op reference for the fused recurrent layers.
+"""Composed-op reference for the fused recurrent layers and the loss.
 
-These are the recurrent attention and MLP layers, the RMS norm and the
-preconditioner as they stood before the package fused each recursion
-step into one tape node: every operation is a tape primitive, so their
-gradients come from the primitives' own backward rules, and heads are
-composed one at a time from slices of the stacked parameters. The fused
-layers in energyformer.layers must reproduce them to rounding, forward
-and backward (see test_fused.py).
+These are the recurrent attention and MLP layers, the RMS norm, the
+preconditioner and the cross-entropy loss as they stood before the
+package fused each into one tape node: every operation is a tape
+primitive, so their gradients come from the primitives' own backward
+rules, and heads are composed one at a time from slices of the stacked
+parameters. The fused forms in energyformer.layers and
+energyformer.model must reproduce them to rounding, forward and
+backward (see test_fused.py and test_model.py). The exp, log and
+take_along_lastdim primitives live here because only these references
+use them.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from energyformer.layers import (
 )
 from energyformer.tensor import (
     DimensionError,
+    DomainError,
     Tensor,
     add,
     matmul,
@@ -29,9 +33,55 @@ from energyformer.tensor import (
     silu,
     softmax_lastdim,
     softplus,
+    sub,
     swap_last2,
     tmean,
+    tsum,
 )
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return record(out, (a,), lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0.0):
+        raise DomainError("log requires strictly positive input")
+    return record(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def take_along_lastdim(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Pick one entry per trailing row: out[...] = a[..., idx[...]]."""
+    idx = np.asarray(idx)
+    if idx.shape != a.shape[:-1]:
+        raise DimensionError(
+            f"take_along_lastdim: index shape {idx.shape} must equal {a.shape[:-1]}"
+        )
+    if np.any(idx < 0) or np.any(idx >= a.shape[-1]):
+        raise DomainError("take_along_lastdim index out of range")
+    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
+        return (ga,)
+
+    return record(out, (a,), vjp)
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean token-level cross entropy from raw logits.
+
+    Stable log-sum-exp with a detached shift: the max is a constant by
+    shift invariance, so excluding it from the tape changes nothing.
+    """
+    targets = np.asarray(targets)
+    m = np.max(logits.data, axis=-1, keepdims=True)
+    shifted = sub(logits, Tensor(m))
+    lse = add(log(tsum(exp(shifted), axis=-1)), Tensor(m[..., 0]))
+    picked = take_along_lastdim(logits, targets)
+    return tmean(sub(lse, picked))
 
 
 def head(t: Tensor, k: int) -> Tensor:

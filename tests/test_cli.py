@@ -118,6 +118,7 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
     ("seeds", 5),
     ("model", {"preset": "lm-smoke", "block": {"d_hidden": "abc"}}),
     ("optim", {"lr": "x"}),
+    ("model", {"preset": 5}),
 ])
 def test_cli_wrongly_typed_field_exits_2(tmp_path, capsys, field, value):
     bad = _write_spec(tmp_path, {"version": 1, "task": "lm-smoke", field: value})
@@ -143,6 +144,21 @@ def test_cli_bad_override_exits_2(tmp_path, capsys):
     assert main(["--spec", spec, "--set", "optim.lr=-3"]) == 2
     assert main(["--spec", spec, "--seeds", "1,two"]) == 2
     assert main(["--spec", spec, "--jobs", "0"]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    "model.block.temperature=NaN",
+    "model.block.attn_eta=Infinity",
+    "model.block.mlp_eta=-Infinity",
+])
+def test_cli_non_finite_block_value_exits_2(tmp_path, capsys, override):
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "count", "out": str(tmp_path / "runs"),
+        "model": {"preset": "lm-smoke"},
+    })
+    assert main(["--spec", spec, "--set", override]) == 2
+    assert "invalid spec" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_count_end_to_end(tmp_path, capsys):
@@ -184,6 +200,7 @@ def test_cli_count_named_inline_entries(tmp_path):
     [{"preset": "cem-86m", "colour": "red"}],
     ["no-such-preset"],
     [5],
+    [{"preset": 5}],
 ])
 def test_cli_bad_count_models_exit_2(tmp_path, capsys, models):
     spec = _write_spec(tmp_path, {

@@ -2,10 +2,11 @@
 
 Each recursion step of cem_attention and cem_mlp is one tape node with a
 hand-written VJP; composed_reference.py keeps the same layers built from
-tape primitives. The forward must agree to 1e-12 absolute (within a
-query tile the fused step keeps the composed arithmetic order; across
-tiles its read-out skips the masked keys' exact zeros) and every
-input's gradient to 1e-10, relative to that gradient's largest entry.
+tape primitives. The forward must agree to 1e-12 absolute (the fused
+attention step folds 1/tau into its query weights where the composed
+layer scales the logits, and across tiles its read-out skips the masked
+keys' exact zeros) and every input's gradient to 1e-10, relative to
+that gradient's largest entry.
 """
 
 import numpy as np
@@ -185,6 +186,7 @@ def test_tape_off_forward_equals_tape_on():
         (ly.cem_attention, full_attention(), 5),
         (ly.cem_mlp, full_mlp(), 5),
         (ly.cem_attention, full_attention(), LONG),
+        (ly.cem_mlp, full_mlp(), LONG),
     ):
         h = rng.normal(size=(2, seq, _width(params)))
         off = fn(Tensor(h), params)

@@ -5,8 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import composed_reference as ref
 from energyformer import serialize, verify
 from energyformer.layers import QUERY_TILE
 from energyformer.model import (
@@ -27,7 +30,7 @@ from energyformer.model import (
     preset,
     save_checkpoint,
 )
-from energyformer.tensor import Tensor
+from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -62,6 +65,12 @@ BAD_BLOCK_KWARGS = [
     {"n_heads": 0, "attention": "reference"},
     {"d_hidden": 8, "n_heads": 16},  # d_head resolves to 0
     {"d_mlp": 0},
+    {"temperature": float("nan")},
+    {"temperature": float("inf")},
+    {"attn_eta": float("nan")},
+    {"attn_eta": float("-inf")},
+    {"mlp_eta": float("inf")},
+    {"mlp_eta": float("nan")},
 ]
 
 
@@ -75,6 +84,11 @@ def test_bad_model_config_rejected(kwargs):
 def test_bad_block_config_rejected(kwargs):
     with pytest.raises(ConfigError):
         ModelConfig(block=BlockConfig(**kwargs)).validate()
+
+
+def test_negative_eta_stays_legal():
+    # only finiteness is checked: a negative step size is a valid config
+    ModelConfig(block=BlockConfig(attn_eta=-0.5, mlp_eta=-2.0)).validate()
 
 
 def test_config_dict_round_trip():
@@ -533,6 +547,12 @@ def test_unknown_preset_rejected():
         preset("colossus")
 
 
+@pytest.mark.parametrize("name", [5, None, ["lm-smoke"]])
+def test_non_string_preset_rejected(name):
+    with pytest.raises(ConfigError):
+        preset(name)
+
+
 # ---------------------------------------------------------------------------
 # forward, losses
 
@@ -595,6 +615,71 @@ def test_cross_entropy_extreme_logits_stable():
     logits = np.array([[1000.0, -1000.0, 0.0]])
     loss = cross_entropy(Tensor(logits), np.array([0])).item()
     assert np.isfinite(loss) and 0.0 <= loss < 1e-6
+
+
+def _loss_and_grad(loss_fn, logits, targets, weight):
+    t = Tensor(logits)
+    with Tape() as tape:
+        tape.watch(t)
+        root = mul(loss_fn(t, targets), weight)
+    return root.item(), tape.backward(root)[t].data
+
+
+def _assert_matches_composed(logits, targets, weight=1.0):
+    loss, grad = _loss_and_grad(cross_entropy, logits, targets, weight)
+    want_loss, want_grad = _loss_and_grad(ref.cross_entropy, logits, targets, weight)
+    assert abs(loss - want_loss) <= 1e-12 * max(1.0, abs(want_loss))
+    assert grad.shape == logits.shape
+    assert np.max(np.abs(grad - want_grad), initial=0.0) <= 1e-10 * max(
+        1.0, np.max(np.abs(want_grad), initial=0.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lead=st.lists(st.integers(1, 4), max_size=3).map(tuple),
+    vocab=st.integers(1, 12),
+    scale=st.sampled_from((0.1, 3.0, 50.0)),
+    weight=st.sampled_from((1.0, -2.5)),
+)
+def test_cross_entropy_matches_composed(seed, lead, vocab, scale, weight):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(scale=scale, size=lead + (vocab,))
+    targets = rng.integers(0, vocab, size=lead)
+    _assert_matches_composed(logits, targets, weight)
+
+
+@pytest.mark.parametrize("logits,targets", [
+    ([[1000.0, -1000.0, 0.0]], [0]),
+    ([[1000.0, -1000.0, 0.0]], [1]),
+    ([[-1000.0, -1000.0, -1000.0]], [2]),
+    ([[1e300, 0.0], [0.0, -1e300]], [1, 0]),
+])
+def test_cross_entropy_extreme_logits_match_composed(logits, targets):
+    _assert_matches_composed(np.array(logits), np.array(targets))
+
+
+def test_cross_entropy_backward_twice_is_identical():
+    rng = np.random.default_rng(3)
+    t = Tensor(rng.normal(size=(2, 5, 7)))
+    logits = t.data.copy()
+    with Tape() as tape:
+        tape.watch(t)
+        loss = mul(cross_entropy(t, rng.integers(0, 7, size=(2, 5))), 3.0)
+    first = tape.backward(loss)[t].data.copy()
+    second = tape.backward(loss)[t].data
+    assert first.tobytes() == second.tobytes()
+    assert t.data.tobytes() == logits.tobytes()
+
+
+def test_cross_entropy_rejects_bad_targets():
+    logits = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        cross_entropy(logits, np.array([0, 1, 2]))
+    with pytest.raises(DomainError):
+        cross_entropy(logits, np.array([0, 3]))
+    with pytest.raises(DomainError):
+        cross_entropy(logits, np.array([-1, 0]))
 
 
 def test_mse_hand_value():

@@ -1,9 +1,13 @@
 """Tensor core: forward semantics, backward rules against finite differences."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import expit
 
+import composed_reference as ref
 from energyformer import tensor as tt
 from energyformer.tensor import (
     DimensionError,
@@ -15,7 +19,6 @@ from energyformer.tensor import (
     gather_rows,
     global_norm,
     softmax_lastdim,
-    take_along_lastdim,
 )
 from energyformer.verify import finite_diff_grad, rel_error
 
@@ -63,6 +66,51 @@ def test_silu_at_zero():
     assert tt.silu(Tensor(0.0)).item() == 0.0
 
 
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between same-sign float64 arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_sigmoid_matches_expit_within_ulps():
+    # wherever the true value is a normal float; extended precision gives
+    # the correctly rounded reference. Near a = -37, where exp(-a) passes
+    # 2**53, sigmoid and expit each round to within 2 ulp of it from
+    # opposite sides, so they can differ from each other by up to 4.
+    x = np.concatenate([
+        np.linspace(-708.0, 745.0, 400_001),
+        np.linspace(-40.0, 40.0, 400_001),
+        np.linspace(-37.0, -36.7, 100_001),
+    ])
+    truth = (1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))).astype(np.float64)
+    got = tt.sigmoid(x)
+    assert _ulps(got, truth).max() <= 2
+    assert _ulps(expit(x), truth).max() <= 2
+    assert _ulps(got, expit(x)).max() <= 4
+    # below a = -708 the true value is subnormal; the numpy form flushes to 0
+    tail = np.linspace(-745.0, -708.0, 10_001)
+    assert np.all(np.abs(tt.sigmoid(tail) - expit(tail)) <= np.finfo(np.float64).tiny)
+
+
+def test_sigmoid_extremes_shapes_and_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = np.array([-np.inf, -1000.0, 0.0, 1000.0, np.inf])
+        npt.assert_array_equal(tt.sigmoid(ends), [0.0, 0.0, 0.5, 1.0, 1.0])
+        npt.assert_array_equal(tt.sigmoid(ends), expit(ends))
+        assert np.isnan(tt.sigmoid(np.array([1.0, np.nan]))[1])
+        zero_d = tt.sigmoid(np.array(-2.0))
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert _ulps(zero_d, expit(np.array(-2.0))) <= 2
+        assert tt.sigmoid(np.empty((2, 0))).shape == (2, 0)
+        out, s = tt.silu_forward(np.array(3.0))
+        assert out.shape == () and s.shape == ()
+        a = np.linspace(-5.0, 5.0, 11)
+        want, _ = tt.silu_forward(a)
+        got, _ = tt.silu_forward(a, out=a)  # in place: a becomes silu(a)
+        assert got is a
+        npt.assert_array_equal(got, want)
+
+
 def test_softplus_at_zero():
     npt.assert_allclose(tt.softplus(Tensor(0.0)).item(), np.log(2.0), rtol=0, atol=1e-15)
 
@@ -99,6 +147,15 @@ def test_softmax_masked_entries_get_zero_probability():
     npt.assert_allclose(out.sum(axis=-1), np.ones(3), atol=1e-12)
 
 
+def test_softmax_lastdim_leaves_its_input_alone():
+    # softmax_forward works in place; softmax_lastdim hands it a fresh array
+    x = np.random.default_rng(4).normal(size=(3, 3))
+    before = x.copy()
+    softmax_lastdim(Tensor(x))
+    softmax_lastdim(Tensor(x), mask=np.triu(np.full((3, 3), -np.inf), k=1))
+    npt.assert_array_equal(x, before)
+
+
 def test_softmax_fully_masked_row_raises():
     x = np.zeros((2, 3))
     mask = np.zeros((2, 3))
@@ -109,7 +166,7 @@ def test_softmax_fully_masked_row_raises():
 
 def test_log_domain_error():
     with pytest.raises(DomainError):
-        tt.log(Tensor(np.array([1.0, -2.0])))
+        ref.log(Tensor(np.array([1.0, -2.0])))
 
 
 def test_rsqrt_domain_error():
@@ -129,7 +186,7 @@ def test_gather_rows_forward_and_range_check():
 def test_take_along_lastdim_forward():
     x = np.arange(6.0).reshape(2, 3)
     idx = np.array([2, 0])
-    out = take_along_lastdim(Tensor(x), idx)
+    out = ref.take_along_lastdim(Tensor(x), idx)
     npt.assert_array_equal(out.data, [2.0, 3.0])
 
 
@@ -251,8 +308,8 @@ def random_cotangent(shape, seed):
 
 
 UNARY_CASES = [
-    ("exp", tt.exp, lambda r: r.normal(scale=1.5, size=(3, 4))),
-    ("log", tt.log, lambda r: r.uniform(0.2, 5.0, size=(3, 4))),
+    ("exp", ref.exp, lambda r: r.normal(scale=1.5, size=(3, 4))),
+    ("log", ref.log, lambda r: r.uniform(0.2, 5.0, size=(3, 4))),
     ("silu", tt.silu, lambda r: r.normal(scale=3.0, size=(3, 4))),
     ("softplus", tt.softplus, lambda r: r.normal(scale=3.0, size=(3, 4))),
     ("rsqrt", tt.rsqrt, lambda r: r.uniform(0.3, 4.0, size=(3, 4))),
@@ -388,10 +445,10 @@ def test_take_along_lastdim_grad_matches_fd():
     c = random_cotangent((3,), 9101)
 
     def build(t):
-        return tt.tsum(tt.mul(take_along_lastdim(t, idx), Tensor(c)))
+        return tt.tsum(tt.mul(ref.take_along_lastdim(t, idx), Tensor(c)))
 
     check_against_fd(
-        build, lambda a: float(np.sum(take_along_lastdim(Tensor(a), idx).data * c)), x0
+        build, lambda a: float(np.sum(ref.take_along_lastdim(Tensor(a), idx).data * c)), x0
     )
 
 
