@@ -39,6 +39,7 @@ from .model import (
     ModelConfig,
     build_model,
     count_flops,
+    count_parameters,
     count_parameters_config,
     preset,
 )
@@ -144,16 +145,15 @@ class ExperimentSpec:
                 count_models(self.task_options)
             except (ConfigError, SpecError, TypeError) as exc:
                 raise SpecError(f"task_options.models: {exc}") from exc
+            _count_option(self.task_options, "seq_len", 128)
         if self.task == "gp-regression":
             try:
                 gp_kernel_spec(self.data)
             except (DataError, TypeError) as exc:
                 raise SpecError(f"data: {exc}") from exc
-            for v in self.task_options.get("variants", GP_VARIANTS):
-                try:
-                    parse_variant(v)
-                except SpecError as exc:
-                    raise SpecError(f"task_options.variants: {exc}") from exc
+            gp_options(self.task_options)
+        if self.task == "lr-sweep":
+            sweep_lrs(self.task_options)
         if self.task == "lm-smoke" or self.task == "lr-sweep":
             corpus = self.data.get("corpus", "")
             if corpus and not Path(corpus).exists():
@@ -201,6 +201,51 @@ def gp_kernel_spec(data: dict) -> GpKernelSpec:
     return GpKernelSpec(kind=data.get("kernel", "rbf"), **kwargs)
 
 
+def _count_option(opts: dict, key: str, default: int) -> int:
+    value = opts.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise SpecError(f"task_options.{key}: must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _is_rate(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf
+
+
+def gp_options(opts: dict) -> tuple[int, int, int, list]:
+    """(d_hidden, d_mlp, n_layers, variants). The narrow defaults are on
+    purpose: the recursion benefit shows when the MLP is too small to
+    shrug off the target's wiggliness. Each variant writes its own files."""
+    variants = opts.get("variants", list(GP_VARIANTS))
+    try:
+        if not isinstance(variants, list) or not variants:
+            raise SpecError("must be a non-empty list of variant names")
+        for v in variants:
+            parse_variant(v)
+        if len(set(variants)) != len(variants):
+            raise SpecError(f"{variants} repeats a variant")
+    except SpecError as exc:
+        raise SpecError(f"task_options.variants: {exc}") from exc
+    return (_count_option(opts, "d_hidden", 16), _count_option(opts, "d_mlp", 32),
+            _count_option(opts, "n_layers", 2), variants)
+
+
+def sweep_lrs(opts: dict) -> list[float]:
+    """task_options.lrs, else n_points rates log-spaced from low to high;
+    each names its run directory to 6 significant digits."""
+    if "lrs" in opts:
+        lrs = opts["lrs"]
+    else:
+        low, high = opts.get("low", 5e-4), opts.get("high", 8e-3)
+        if not (_is_rate(low) and _is_rate(high)):
+            raise SpecError(f"task_options.low, high: must be positive finite, got {low!r}, {high!r}")
+        lrs = list(lr_sweep_points(low, high, _count_option(opts, "n_points", 5)))
+    if (not isinstance(lrs, list) or not lrs or not all(map(_is_rate, lrs))
+            or len({f"{lr:.6g}" for lr in lrs}) != len(lrs)):
+        raise SpecError(f"task_options.lrs: must be distinct positive finite rates, got {lrs!r}")
+    return [float(lr) for lr in lrs]
+
+
 def parse_variant(name: str):
     """Variant name -> (mlp kind, recursion steps, width multiplier).
 
@@ -211,7 +256,7 @@ def parse_variant(name: str):
         return "plain", 1, 1.5
     if name == "gated":
         return "gated", 1, 1.0
-    if name.startswith("cem-t"):
+    if isinstance(name, str) and name.startswith("cem-t"):
         try:
             steps = int(name[len("cem-t"):])
         except ValueError:
@@ -266,13 +311,7 @@ def _gp_seed_rows(spec_dict: dict, task_dir: Path, seed: int) -> list:
     """All variant results for one seed; paired on one data draw."""
     spec = ExperimentSpec.from_dict(spec_dict)
     kernel = gp_kernel_spec(spec.data)
-    opts = spec.task_options
-    # narrow defaults on purpose: the recursion benefit shows when the
-    # MLP is too small to shrug off the target's wiggliness
-    d_hidden = opts.get("d_hidden", 16)
-    d_mlp = opts.get("d_mlp", 32)
-    n_layers = opts.get("n_layers", 2)
-    variants = opts.get("variants", list(GP_VARIANTS))
+    d_hidden, d_mlp, n_layers, variants = gp_options(spec.task_options)
     n_points = spec.data.get("n_points", 640)
     in_dim = spec.data.get("in_dim", 10)
 
@@ -288,7 +327,7 @@ def _gp_seed_rows(spec_dict: dict, task_dir: Path, seed: int) -> list:
     for variant in variants:
         mcfg = gp_variant_config(variant, d_hidden, d_mlp, n_layers, in_dim)
         model = build_model(mcfg, seed=seed)
-        counts = count_parameters_config(mcfg)
+        counts = count_parameters(model)
         metrics = train_loop(
             model,
             itertools.repeat(train),
@@ -400,13 +439,7 @@ def run_lm_smoke(spec: ExperimentSpec, task_dir: Path) -> dict:
 
 
 def run_lr_sweep(spec: ExperimentSpec, task_dir: Path) -> dict:
-    opts = spec.task_options
-    if "lrs" in opts:
-        lrs = [float(x) for x in opts["lrs"]]
-    else:
-        lrs = list(lr_sweep_points(
-            opts.get("low", 5e-4), opts.get("high", 8e-3), opts.get("n_points", 5),
-        ))
+    lrs = sweep_lrs(spec.task_options)
     base_optim = dict(spec.optim)
     points = []
     for lr in lrs:
@@ -462,7 +495,7 @@ def count_models(options: dict) -> dict[str, ModelConfig]:
 
 
 def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
-    seq_len = spec.task_options.get("seq_len", 128)
+    seq_len = _count_option(spec.task_options, "seq_len", 128)
     rows = []
     table = {}
     for name, cfg in count_models(spec.task_options).items():

@@ -218,32 +218,29 @@ class AlibiParams:
 class PreconditionerParams:
     """Symmetric positive-leaning preconditioner, never materialized.
 
-    kind "diagonal": diag(softplus(scale * p)) with scale = sqrt(dim);
-        p stored at O(1/sqrt(dim)) so the diagonal starts near
-        softplus(1).
-    kind "diag_lowrank": adds u v.T + v u.T with u, v of shape
-        (dim, rank); v starts at zero so the map starts diagonal.
+    Diagonal part diag(softplus(scale * p)) with dim = len(p) and scale =
+    sqrt(dim); p is stored at O(1/sqrt(dim)) so the diagonal starts near
+    softplus(1). Given low-rank factors u, v of shape (dim, rank), it
+    adds u v.T + v u.T; v starts at zero so the map starts diagonal.
     """
 
-    kind: str
-    dim: int
     p: Tensor
     u: Tensor | None = None
     v: Tensor | None = None
 
     def __post_init__(self):
-        if self.kind not in ("diagonal", "diag_lowrank"):
-            raise DomainError(f"unknown preconditioner kind {self.kind!r}")
-        if self.p.shape != (self.dim,):
-            raise DimensionError("diagonal preconditioner needs p of shape (dim,)")
-        if self.kind == "diag_lowrank":
-            if self.u is None or self.v is None:
-                raise DimensionError("diag_lowrank needs u and v factors")
-            if self.u.shape != self.v.shape or self.u.shape[0] != self.dim:
+        if self.p.ndim != 1:
+            raise DimensionError(f"preconditioner needs p of shape (dim,), got {self.p.shape}")
+        if self.u is not None or self.v is not None:
+            shapes = [None if t is None else t.shape for t in (self.u, self.v)]
+            if shapes[0] != shapes[1] or len(shapes[0]) != 2 or shapes[0][0] != self.dim:
                 raise DimensionError(
-                    f"low-rank factors must both be (dim, rank), got "
-                    f"{self.u.shape} and {self.v.shape}"
+                    f"low-rank factors u, v must both be (dim={self.dim}, rank), got {shapes}"
                 )
+
+    @property
+    def dim(self) -> int:
+        return self.p.shape[0]
 
 
 def _check_preconditioner_dim(params: PreconditionerParams, dim: int) -> None:
@@ -266,7 +263,7 @@ def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
     symmetric pair (g u) v.T + (g v) u.T, applied as one product.
     """
     out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))
-    if params.kind == "diag_lowrank":
+    if params.u is not None:
         uv, vu = _lowrank_pair(params)
         out += (g @ uv) @ vu.T
     return out
@@ -278,7 +275,7 @@ def precondition_vjp(c: np.ndarray, g: np.ndarray, params: PreconditionerParams)
     arg = params.p.data * scale
     g_g = c * np.logaddexp(0.0, arg)
     g_p = _rows(c * g).sum(axis=0) * sigmoid(arg) * scale
-    if params.kind == "diagonal":
+    if params.u is None:
         return g_g, g_p, None, None
     # with uv = [u | v]: c uv = [cu | cv], g uv = [gu | gv], and
     # g_g += cv u^T + cu v^T, g_u = g^T cv + c^T gv, g_v = g^T cu + c^T gu
@@ -310,7 +307,7 @@ def materialize_preconditioner(params: PreconditionerParams) -> np.ndarray:
     """Dense P for tests: diag(softplus(sqrt(dim) p)) + u v.T + v u.T."""
     scale = float(np.sqrt(params.dim))
     mat = np.diag(np.logaddexp(0.0, scale * params.p.data))
-    if params.kind == "diag_lowrank":
+    if params.u is not None:
         u, v = params.u.data, params.v.data
         mat = mat + u @ v.T + v @ u.T
     return mat

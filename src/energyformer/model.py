@@ -7,6 +7,11 @@ sublayer (gated, plain, or recurrent). Recurrent sublayers consume the
 normalised stream and return an evolved state; the block adds the
 state's displacement to the raw residual stream, which collapses to the
 standard pre-norm wiring at a single plain step.
+
+Parameters are counted by walking a model: skeleton(cfg) builds it
+with placeholder weights that draw and store nothing, so the counts
+follow every shape decision init_block makes. FLOPs are not in the
+shapes and keep a closed form (count_flops).
 """
 
 from __future__ import annotations
@@ -200,24 +205,19 @@ def _gain(d: int) -> RmsNormParams:
     return RmsNormParams(gain=Tensor(np.ones(d)))
 
 
-def _init_precond(kind: str, d: int, rank: int, rng: np.random.Generator) -> PreconditionerParams:
+def _init_precond(kind: str, d: int, rank: int, draw) -> PreconditionerParams:
     p = Tensor(np.full(d, 1.0 / np.sqrt(d)))
     if kind == "diagonal":
-        return PreconditionerParams(kind="diagonal", dim=d, p=p)
-    return PreconditionerParams(
-        kind="diag_lowrank",
-        dim=d,
-        p=p,
-        u=Tensor(rng.normal(scale=INIT_STD, size=(d, rank))),
-        v=Tensor(np.zeros((d, rank))),
-    )
+        return PreconditionerParams(p=p)
+    return PreconditionerParams(p=p, u=draw(d, rank), v=Tensor(np.zeros((d, rank))))
 
 
 def _init_eta(value: float, learnable: bool) -> Tensor | float:
     return Tensor(float(value)) if learnable else float(value)
 
 
-def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
+def init_block(cfg: BlockConfig, draw) -> Block:
+    """One block's parameters; draw(*shape) supplies every random weight."""
     d, k = cfg.d_hidden, cfg.n_heads
     d_r = cfg.resolved_d_head()
 
@@ -231,15 +231,12 @@ def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
                 slopes=alibi_slopes(k), b_self=Tensor(0.0), b_cross=Tensor(0.0)
             )
 
-        def heads() -> Tensor:
-            return Tensor(rng.normal(scale=INIT_STD, size=(k, d_r, d)))
-
         if cfg.attention == "reference":
             attn = ReferenceMhaParams(
-                w_q=heads(),
-                w_k=heads(),
-                w_v=heads(),
-                w_o=heads(),
+                w_q=draw(k, d_r, d),
+                w_k=draw(k, d_r, d),
+                w_v=draw(k, d_r, d),
+                w_o=draw(k, d_r, d),
                 tau=cfg.resolved_temperature(),
                 alibi=alibi,
             )
@@ -250,12 +247,12 @@ def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
             precond = None
             if cfg.attn_precond != "identity":
                 precond = tuple(
-                    _init_precond(cfg.attn_precond, d, cfg.attn_precond_rank, rng)
+                    _init_precond(cfg.attn_precond, d, cfg.attn_precond_rank, draw)
                     for _ in range(k)
                 )
             attn = CemAttentionParams(
-                w_q=heads(),
-                w_k=heads(),
+                w_q=draw(k, d_r, d),
+                w_k=draw(k, d_r, d),
                 tau=cfg.resolved_temperature(),
                 steps=cfg.attn_steps,
                 eta=_init_eta(cfg.attn_eta, cfg.learnable_eta),
@@ -267,25 +264,20 @@ def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
 
     if cfg.mlp == "gated":
         mlp = GatedMlpParams(
-            w_gate=Tensor(rng.normal(scale=INIT_STD, size=(cfg.d_mlp, d))),
-            w_up=Tensor(rng.normal(scale=INIT_STD, size=(cfg.d_mlp, d))),
-            w_down=Tensor(rng.normal(scale=INIT_STD, size=(d, cfg.d_mlp))),
+            w_gate=draw(cfg.d_mlp, d), w_up=draw(cfg.d_mlp, d), w_down=draw(d, cfg.d_mlp)
         )
     elif cfg.mlp == "plain":
-        mlp = PlainMlpParams(
-            w_up=Tensor(rng.normal(scale=INIT_STD, size=(cfg.d_mlp, d))),
-            w_down=Tensor(rng.normal(scale=INIT_STD, size=(d, cfg.d_mlp))),
-        )
+        mlp = PlainMlpParams(w_up=draw(cfg.d_mlp, d), w_down=draw(d, cfg.d_mlp))
     else:
         mlp = CemMlpParams(
-            w=Tensor(rng.normal(scale=INIT_STD, size=(cfg.d_mlp, d))),
-            v=Tensor(rng.normal(scale=INIT_STD, size=(cfg.d_mlp, d))),
+            w=draw(cfg.d_mlp, d),
+            v=draw(cfg.d_mlp, d),
             steps=cfg.mlp_steps,
             eta=_init_eta(cfg.mlp_eta, cfg.learnable_eta),
             precond=(
                 None
                 if cfg.mlp_precond == "identity"
-                else _init_precond(cfg.mlp_precond, d, cfg.mlp_precond_rank, rng)
+                else _init_precond(cfg.mlp_precond, d, cfg.mlp_precond_rank, draw)
             ),
             inner_norm=_gain(d) if cfg.inner_norm else None,
         )
@@ -293,22 +285,21 @@ def init_block(cfg: BlockConfig, rng: np.random.Generator) -> Block:
     return Block(attn_norm=attn_norm, attn=attn, mlp_norm=_gain(d), mlp=mlp)
 
 
-def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
+def _build(cfg: ModelConfig, draw) -> Model:
     cfg.validate()
-    rng = np.random.default_rng(seed)
     d = cfg.block.d_hidden
 
     embed = lift_w = lift_b = None
     if cfg.kind == "lm":
-        embed = Tensor(rng.normal(scale=INIT_STD, size=(cfg.vocab_size, d)))
+        embed = draw(cfg.vocab_size, d)
         head_rows = cfg.vocab_size
     else:
-        lift_w = Tensor(rng.normal(scale=INIT_STD, size=(d, cfg.in_dim)))
+        lift_w = draw(d, cfg.in_dim)
         lift_b = Tensor(np.zeros(d))
         head_rows = cfg.out_dim
 
-    blocks = [init_block(cfg.block, rng) for _ in range(cfg.n_layers)]
-    head_w = Tensor(rng.normal(scale=INIT_STD, size=(head_rows, d)))
+    blocks = [init_block(cfg.block, draw) for _ in range(cfg.n_layers)]
+    head_w = draw(head_rows, d)
     head_b = None if cfg.kind == "lm" else Tensor(np.zeros(cfg.out_dim))
     return Model(
         config=cfg,
@@ -320,6 +311,19 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
         head_w=head_w,
         head_b=head_b,
     )
+
+
+def build_model(cfg: ModelConfig, seed: int = 0) -> Model:
+    """A model whose weight matrices are N(0, INIT_STD^2) draws from the seed."""
+    rng = np.random.default_rng(seed)
+    return _build(cfg, lambda *shape: Tensor(rng.normal(scale=INIT_STD, size=shape)))
+
+
+def skeleton(cfg: ModelConfig) -> Model:
+    """The model build_model makes, drawing nothing: each weight matrix is
+    a zero-stride read-only zero of its shape. It has every parameter's
+    name and shape, for counting or for loading stored weights into."""
+    return _build(cfg, lambda *shape: Tensor(np.broadcast_to(0.0, shape)))
 
 
 def block_forward(h: Tensor, block: Block) -> Tensor:
@@ -480,77 +484,8 @@ def count_parameters(model: Model) -> dict[str, int]:
 
 
 def count_parameters_config(cfg: ModelConfig) -> dict[str, int]:
-    """Closed-form parameter counts; must equal count_parameters exactly."""
-    cfg.validate()
-    b = cfg.block
-    d, k, d_r, d_m = b.d_hidden, b.n_heads, b.resolved_d_head(), b.d_mlp
-
-    attn = attn_core = 0
-    norms_per_block = d  # mlp_norm
-    precond = 0
-    if b.attention != "none":
-        norms_per_block += d  # attn_norm
-        n_proj = 4 if b.attention == "reference" else 2
-        attn_core = n_proj * k * d_r * d
-        attn = attn_core
-        if b.attention == "cem":
-            if b.kq_diag == "shared":
-                attn += d
-            elif b.kq_diag == "per-head":
-                attn += k * d
-            if b.alibi:
-                attn += 2
-            if b.learnable_eta:
-                attn += 1
-            if b.inner_norm:
-                norms_per_block += d
-            if b.attn_precond == "diagonal":
-                precond += k * d
-            elif b.attn_precond == "diag_lowrank":
-                precond += k * (d + 2 * d * b.attn_precond_rank)
-        elif b.alibi:
-            attn += 2
-
-    mlp_core = (3 if b.mlp == "gated" else 2) * d_m * d
-    mlp = mlp_core
-    if b.mlp == "cem":
-        if b.learnable_eta:
-            mlp += 1
-        if b.inner_norm:
-            norms_per_block += d
-        if b.mlp_precond == "diagonal":
-            precond += d
-        elif b.mlp_precond == "diag_lowrank":
-            precond += d + 2 * d * b.mlp_precond_rank
-
-    n = cfg.n_layers
-    if cfg.kind == "lm":
-        embedding = cfg.vocab_size * d
-        head = cfg.vocab_size * d
-    else:
-        embedding = d * cfg.in_dim + d
-        head = cfg.out_dim * d + cfg.out_dim
-    norms = n * norms_per_block + (d if cfg.final_norm else 0)
-    counts = {
-        "embedding": embedding,
-        "attention": n * attn,
-        "attention_core": n * attn_core,
-        "mlp": n * mlp,
-        "mlp_core": n * mlp_core,
-        "norms": norms,
-        "preconditioners": n * precond,
-        "head": head,
-        "other": 0,
-    }
-    counts["total"] = (
-        counts["embedding"]
-        + counts["attention"]
-        + counts["mlp"]
-        + counts["norms"]
-        + counts["preconditioners"]
-        + counts["head"]
-    )
-    return counts
+    """Parameter counts of the model cfg builds, from its skeleton."""
+    return count_parameters(skeleton(cfg))
 
 
 def save_checkpoint(model: Model, path: str | Path) -> None:
@@ -562,8 +497,7 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Model:
     meta, stored = serialize.load_tensors(path)
-    cfg = ModelConfig.from_dict(meta)
-    model = build_model(cfg, seed=0)
+    model = skeleton(ModelConfig.from_dict(meta))
     params = named_parameters(model)
     missing = set(params) - set(stored)
     extra = set(stored) - set(params)

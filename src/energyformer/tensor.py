@@ -286,15 +286,6 @@ def mul(a, b) -> Tensor:
     return record(out, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
-    def vjp(g):
-        return (-g,)
-
-    return record(-a.data, (a,), vjp)
-
-
 def matmul(a, b) -> Tensor:
     """Batched matrix product; both operands must have ndim >= 2."""
     a, b = _wrap(a), _wrap(b)
@@ -383,29 +374,6 @@ def silu(a) -> Tensor:
 
     def vjp(g):
         return (silu_vjp(g, a.data, s),)
-
-    return record(out, (a,), vjp)
-
-
-def softplus(a) -> Tensor:
-    """log(1 + e^x), computed stably; softplus(0) = log 2."""
-    a = _wrap(a)
-    out = np.logaddexp(0.0, a.data)
-
-    def vjp(g):
-        return (g * sigmoid(a.data),)
-
-    return record(out, (a,), vjp)
-
-
-def rsqrt(a) -> Tensor:
-    a = _wrap(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("rsqrt requires strictly positive input")
-    out = 1.0 / np.sqrt(a.data)
-
-    def vjp(g):
-        return (-0.5 * g * out / a.data,)
 
     return record(out, (a,), vjp)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -174,7 +173,6 @@ class RunMetrics:
     initial_train_loss: float
     final_train_loss: float
     final_eval: dict[str, float]
-    wall_time_s: float
 
 
 def train_loop(
@@ -184,7 +182,6 @@ def train_loop(
     loss_fn,
     eval_fn=None,
     log_every: int = 50,
-    eval_every: int = 0,
     metrics_path: str | Path | None = None,
     summary_csv_path: str | Path | None = None,
     checkpoint_path: str | Path | None = None,
@@ -192,10 +189,9 @@ def train_loop(
     """Optimize the model for cfg.total_steps batches.
 
     loss_fn(model, batch) must build a scalar loss on the active tape.
-    eval_fn(model) returns a metric dict; it runs every eval_every steps
-    (0 means only at the end) and always after the last step. A
-    non-finite loss aborts after dumping the not-yet-updated parameters
-    as the last-good checkpoint.
+    eval_fn(model) returns a metric dict; it runs once, after the last
+    step. A non-finite loss aborts after dumping the not-yet-updated
+    parameters as the last-good checkpoint.
     """
     cfg.validate()
     params = md.named_parameters(model)
@@ -211,7 +207,6 @@ def train_loop(
             fh.flush()
 
     initial_loss = final_loss = float("nan")
-    start = time.perf_counter()
     try:
         for step in range(cfg.total_steps):
             batch = next(batch_stream)
@@ -238,9 +233,6 @@ def train_loop(
             if step % log_every == 0 or step == cfg.total_steps - 1:
                 emit(step, "train", "loss", loss_value)
                 emit(step, "train", "grad_norm", norm)
-            if eval_fn is not None and eval_every and (step + 1) % eval_every == 0:
-                for metric, value in eval_fn(model).items():
-                    emit(step, "eval", metric, value)
 
         final_eval: dict[str, float] = {}
         if eval_fn is not None:
@@ -251,7 +243,6 @@ def train_loop(
         if fh is not None:
             fh.close()
 
-    wall = time.perf_counter() - start
     if checkpoint_path is not None:
         md.save_checkpoint(model, checkpoint_path)
     if summary_csv_path is not None:
@@ -265,7 +256,6 @@ def train_loop(
         initial_train_loss=initial_loss,
         final_train_loss=final_loss,
         final_eval=final_eval,
-        wall_time_s=wall,
     )
 
 

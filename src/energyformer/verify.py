@@ -151,15 +151,11 @@ def tied_reference_attention(
     )
 
 
-def tied_reference_mlp(
-    params: ly.CemMlpParams, untie_down: np.random.Generator | None = None
-) -> ly.GatedMlpParams:
+def tied_reference_mlp(params: ly.CemMlpParams) -> ly.GatedMlpParams:
     """Gated reference MLP with down = v.T, up = v, gate = w."""
-    if untie_down is None:
-        w_down = Tensor(params.v.data.T.copy())
-    else:
-        w_down = Tensor(untie_down.normal(size=params.v.data.T.shape))
-    return ly.GatedMlpParams(w_gate=params.w, w_up=params.v, w_down=w_down)
+    return ly.GatedMlpParams(
+        w_gate=params.w, w_up=params.v, w_down=Tensor(params.v.data.T.copy())
+    )
 
 
 def interaction_spec_of(params: ly.CemAttentionParams) -> en.InteractionEnergySpec:
@@ -273,10 +269,8 @@ def random_preconditioner(
 ) -> ly.PreconditionerParams:
     p = Tensor(rng.normal(loc=1.0 / np.sqrt(dim), scale=0.1 / np.sqrt(dim), size=dim))
     if kind == "diagonal":
-        return ly.PreconditionerParams(kind="diagonal", dim=dim, p=p)
+        return ly.PreconditionerParams(p=p)
     return ly.PreconditionerParams(
-        kind="diag_lowrank",
-        dim=dim,
         p=p,
         u=Tensor(rng.normal(size=(dim, rank)) * 0.2),
         v=Tensor(rng.normal(size=(dim, rank)) * 0.2),
@@ -610,7 +604,7 @@ def tied_reference_model(model: md.Model) -> md.Model:
         inner_norm=False,
         learnable_eta=False,
     )
-    ref = md.build_model(dataclasses.replace(cfg, block=ref_block), seed=0)
+    ref = md.skeleton(dataclasses.replace(cfg, block=ref_block))
     source = md.named_parameters(model)
     for name, tensor in md.named_parameters(ref).items():
         if name in source:

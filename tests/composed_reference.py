@@ -7,9 +7,9 @@ primitive, so their gradients come from the primitives' own backward
 rules, and heads are composed one at a time from slices of the stacked
 parameters. The fused forms in energyformer.layers and
 energyformer.model must reproduce them to rounding, forward and
-backward (see test_fused.py and test_model.py). The exp, log and
-take_along_lastdim primitives live here because only these references
-use them.
+backward (see test_fused.py and test_model.py). The exp, log, neg,
+softplus, rsqrt and take_along_lastdim primitives live here because only
+these references and the primitive tests use them.
 """
 
 import numpy as np
@@ -29,10 +29,9 @@ from energyformer.tensor import (
     matmul,
     mul,
     record,
-    rsqrt,
+    sigmoid,
     silu,
     softmax_lastdim,
-    softplus,
     sub,
     swap_last2,
     tmean,
@@ -49,6 +48,22 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log requires strictly positive input")
     return record(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def neg(a: Tensor) -> Tensor:
+    return record(-a.data, (a,), lambda g: (-g,))
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^x), computed stably; softplus(0) = log 2."""
+    return record(np.logaddexp(0.0, a.data), (a,), lambda g: (g * sigmoid(a.data),))
+
+
+def rsqrt(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0.0):
+        raise DomainError("rsqrt requires strictly positive input")
+    out = 1.0 / np.sqrt(a.data)
+    return record(out, (a,), lambda g: (-0.5 * g * out / a.data,))
 
 
 def take_along_lastdim(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -113,7 +128,7 @@ def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
         )
     scale = float(np.sqrt(params.dim))
     out = mul(g, softplus(mul(params.p, scale)))
-    if params.kind == "diag_lowrank":
+    if params.u is not None:
         out = add(out, matmul(matmul(g, params.u), swap_last2(params.v)))
         out = add(out, matmul(matmul(g, params.v), swap_last2(params.u)))
     return out

@@ -212,6 +212,30 @@ def test_cli_bad_count_models_exit_2(tmp_path, capsys, models):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("task,options", [
+    ("gp-regression", {"variants": 5}),
+    ("gp-regression", {"variants": [1]}),
+    ("gp-regression", {"variants": []}),
+    ("gp-regression", {"variants": ["gated", "gated"]}),  # would share output files
+    ("gp-regression", {"d_hidden": "x"}),
+    ("gp-regression", {"n_layers": 0}),
+    ("lr-sweep", {"lrs": ["a"]}),
+    ("lr-sweep", {"lrs": [1e-3, -1e-3]}),
+    ("lr-sweep", {"lrs": [1e-3, 1e-3]}),  # would share a run directory
+    ("lr-sweep", {"low": "a"}),
+    ("count", {"seq_len": "x"}),
+    ("count", {"seq_len": 0}),
+])
+def test_cli_malformed_task_options_exit_2(tmp_path, capsys, task, options):
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": task, "out": str(tmp_path / "runs"), "task_options": options,
+    })
+    assert main(["--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and f"task_options.{next(iter(options))}" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_effective_config_round_trips(tmp_path):
     spec = _write_spec(tmp_path, {
         "version": 1, "task": "count", "out": str(tmp_path / "runs"),

@@ -309,11 +309,26 @@ def test_preconditioner_init_diagonal_near_softplus_one():
     from energyformer.model import _init_precond
 
     rng = np.random.default_rng(703)
-    pc = _init_precond("diag_lowrank", 16, 4, rng)
+    pc = _init_precond("diag_lowrank", 16, 4, lambda *shape: Tensor(rng.normal(size=shape)))
     mat = ly.materialize_preconditioner(pc)
     # v starts at zero, so the map starts diagonal at softplus(1)
     npt.assert_allclose(np.diag(mat), np.full(16, np.logaddexp(0.0, 1.0)), rtol=1e-12)
     npt.assert_allclose(mat - np.diag(np.diag(mat)), np.zeros((16, 16)), atol=0)
+
+
+def test_preconditioner_low_rank_factors_come_in_pairs():
+    rng = np.random.default_rng(704)
+    p, u = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(4, 2)))
+    for kwargs in ({"u": u}, {"v": u}, {"u": u, "v": Tensor(np.zeros((4, 3)))}):
+        with pytest.raises(DimensionError):
+            ly.PreconditionerParams(p=p, **kwargs)
+    with pytest.raises(DimensionError):
+        ly.PreconditionerParams(p=Tensor(np.zeros((4, 1))))
+    # given factors are always applied
+    pc = ly.PreconditionerParams(p=p, u=u, v=Tensor(rng.normal(size=(4, 2))))
+    g = rng.normal(size=(3, 4))
+    npt.assert_allclose(ly.precondition(g, pc), g @ ly.materialize_preconditioner(pc),
+                        rtol=1e-12, atol=1e-12)
 
 
 def test_preconditioner_dim_mismatch():

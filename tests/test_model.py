@@ -2,6 +2,7 @@
 checkpoint round trips, and full-stack equivalence/backward checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from energyformer.model import (
     parameter_group,
     preset,
     save_checkpoint,
+    skeleton,
 )
 from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul
 
@@ -265,6 +267,28 @@ def test_walked_count_equals_closed_form(idx):
     walked = count_parameters(build_model(cfg, seed=idx))
     assert walked["other"] == 0
     assert walked == count_parameters_config(cfg)
+
+
+@pytest.mark.parametrize("idx", range(len(COUNT_SWEEP)))
+def test_skeleton_has_the_built_names_and_shapes(idx):
+    cfg = COUNT_SWEEP[idx]
+    built = named_parameters(build_model(cfg, seed=idx))
+    bare = named_parameters(skeleton(cfg))
+    assert [(k, t.shape) for k, t in bare.items()] == [(k, t.shape) for k, t in built.items()]
+
+
+def test_counting_a_large_preset_allocates_no_weights():
+    # cem-162m's 122M weights would take about 1 GB as float64; its
+    # skeleton stores only the O(d_hidden) gains and preconditioner factors
+    cfg = preset("cem-162m")
+    tracemalloc.start()
+    try:
+        total = count_parameters_config(cfg)["total"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total > 1e8
+    assert peak < 16e6
 
 
 def test_parameter_count_hand_derived():
@@ -713,6 +737,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert saved[name].data.tobytes() == loaded[name].data.tobytes(), name
 
 
+def test_load_checkpoint_draws_no_weights(tmp_path, monkeypatch):
+    cfg = verify.full_feature_config()
+    model = _randomized_model(cfg, 5)
+    save_checkpoint(model, tmp_path / "model.bin")
+
+    def no_generators(*args, **kwargs):
+        raise AssertionError("load_checkpoint asked for a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generators)
+    again = load_checkpoint(tmp_path / "model.bin")
+    loaded = named_parameters(again)
+    for name, t in named_parameters(model).items():
+        assert loaded[name].data.flags.writeable, name  # no placeholder survives
+        assert loaded[name].data.tobytes() == t.data.tobytes(), name
+
+
 def test_checkpoint_shape_mismatch_rejected(tmp_path):
     cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16))
     model = build_model(cfg, seed=0)
@@ -772,6 +812,7 @@ def test_tied_reference_model_square_mlp():
     )
     model = _randomized_model(cfg, 3)
     ref = verify.tied_reference_model(model)
+    assert all(t.data.flags.writeable for t in named_parameters(ref).values())
     for blk, rblk in zip(model.blocks, ref.blocks):
         np.testing.assert_array_equal(rblk.mlp.w_down.data, blk.mlp.v.data.T)
         np.testing.assert_array_equal(rblk.attn.w_o.data, blk.attn.w_q.data)
