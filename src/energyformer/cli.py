@@ -38,6 +38,7 @@ from .model import (
     ConfigError,
     ModelConfig,
     build_model,
+    check_types,
     count_flops,
     count_parameters,
     count_parameters_config,
@@ -65,6 +66,7 @@ SPEC_VERSION = 1
 OUT_ROOT_ENV = "ENERGYFORMER_OUT"
 
 GP_VARIANTS = ("plain", "gated", "cem-t1", "cem-t2")
+GP_KERNEL_SCALES = {f.name: f.default for f in dataclasses.fields(GpKernelSpec) if f.name != "kind"}
 SEEDS_PROBLEM = "seeds: must be a non-empty list of non-negative integers"
 EVAL_WINDOWS = 64  # leading corpus windows held out of lm training for eval
 
@@ -81,16 +83,7 @@ class ExperimentSpec:
     task_options: dict = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "task": self.task,
-            "seeds": list(self.seeds),
-            "out": self.out,
-            "model": self.model,
-            "optim": self.optim,
-            "data": self.data,
-            "task_options": self.task_options,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentSpec":
@@ -100,10 +93,9 @@ class ExperimentSpec:
         unknown = sorted(set(payload) - known)
         if unknown:
             raise SpecError("".join(f"{k}: unknown spec field\n" for k in unknown).strip())
-        if "version" not in payload:
-            raise SpecError("version: required field is missing")
-        if "task" not in payload:
-            raise SpecError("task: required field is missing")
+        for key in ("version", "task"):
+            if key not in payload:
+                raise SpecError(f"{key}: required field is missing")
         kwargs = dict(payload)
         if "seeds" in kwargs:
             if not isinstance(kwargs["seeds"], (list, tuple)):
@@ -113,54 +105,72 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         problems = []
-        if self.version != SPEC_VERSION:
+        if type(self.version) is not int or self.version != SPEC_VERSION:
             problems.append(f"version: expected {SPEC_VERSION}, got {self.version!r}")
         if self.task not in TASKS:
             problems.append(f"task: must be one of {', '.join(TASKS)}; got {self.task!r}")
-        if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+        if not self.seeds or not all(type(s) is int and s >= 0 for s in self.seeds):
             problems.append(SEEDS_PROBLEM)
         elif len(set(self.seeds)) != len(self.seeds):
             problems.append("seeds: duplicate entries")
-        for field in ("model", "optim", "data", "task_options"):
-            if not isinstance(getattr(self, field), dict):
-                problems.append(f"{field}: must be a JSON object")
         if not isinstance(self.out, str):
             problems.append("out: must be a string path")
         if problems:
             raise SpecError("\n".join(problems))
-        # resolve the payloads now so a bad field fails before any work
-        # runs; a wrongly typed value surfaces as a TypeError in validation
-        try:
-            if self.model:
-                resolve_model_config(self.model)
-        except (ConfigError, SpecError, TypeError) as exc:
-            raise SpecError(f"model: {exc}") from exc
-        try:
-            if self.optim:
-                resolve_optim_config(self.optim)
-        except (TrainingError, SpecError, TypeError) as exc:
-            raise SpecError(f"optim: {exc}") from exc
-        if self.task == "count":
-            try:
-                count_models(self.task_options)
-            except (ConfigError, SpecError, TypeError) as exc:
-                raise SpecError(f"task_options.models: {exc}") from exc
-            _count_option(self.task_options, "seq_len", 128)
-        if self.task == "gp-regression":
-            try:
-                gp_kernel_spec(self.data)
-            except (DataError, TypeError) as exc:
-                raise SpecError(f"data: {exc}") from exc
-            gp_options(self.task_options)
-        if self.task == "lr-sweep":
-            sweep_lrs(self.task_options)
-        if self.task == "lm-smoke" or self.task == "lr-sweep":
-            corpus = self.data.get("corpus", "")
-            if corpus and not Path(corpus).exists():
-                raise SpecError(f"data.corpus: no such file {corpus!r}")
-            seq_len = self.data.get("seq_len", 65)
-            if not isinstance(seq_len, int) or seq_len < 2:
-                raise SpecError("data.seq_len: must be an integer >= 2")
+        # every payload is read and resolved before any work runs
+        read = {f: read_payload(self, f) for f in ("model", "optim", "data", "task_options")}
+        data, opts = read["data"], read["task_options"]
+        for field in ("data", "task_options"):
+            for key, value in read[field].items():
+                least = 2 if field == "data" and key in ("seq_len", "n_points") else 1
+                if type(value) is int and value < least:
+                    raise SpecError(f"{field}.{key}: must be an integer >= {least}, got {value}")
+        if read["model"]:
+            _check("model", resolve_model_config, read["model"])
+        if read["optim"]:
+            _check("optim", lambda optim: OptimConfig(**optim).validate(), read["optim"])
+        if "kernel" in data:
+            _check("data", gp_kernel_spec, data)
+        if "corpus" in data and data["corpus"] and not Path(data["corpus"]).exists():
+            raise SpecError(f"data.corpus: no such file {data['corpus']!r}")
+        if "variants" in opts:
+            variants = opts["variants"]
+            for variant in variants:
+                _check("task_options.variants", parse_variant, variant)
+            if not variants or len(set(variants)) != len(variants):
+                raise SpecError(f"task_options.variants: {variants} is empty or repeats a name")
+        if "lrs" in opts:
+            sweep_lrs(opts)
+        if "models" in opts:
+            _check("task_options.models", count_models, opts["models"])
+
+
+def _check(name: str, resolve, value) -> None:
+    """resolve(value), its package error re-raised as a SpecError on name."""
+    try:
+        resolve(value)
+    except (ConfigError, DataError, SpecError, TrainingError) as exc:
+        raise SpecError(f"{name}: {exc}") from exc
+
+
+def read_payload(spec: ExperimentSpec, field: str) -> dict:
+    """One payload of spec as its task reads it: TASK_KEYS' defaults for it
+    with the given values laid over them. A payload the task does not read
+    has no keys. A model payload replaces the default whole, since a preset
+    cannot sit under a full config, and resolve_model_config checks its
+    keys. An unknown key or a value not of its default's type is a SpecError."""
+    reads, given = TASK_KEYS[spec.task], getattr(spec, field)
+    if not isinstance(given, dict):
+        raise SpecError(f"{field}: must be a JSON object")
+    if field == "model" and field in reads:
+        return given or reads["model"]
+    defaults = reads.get(field, {})
+    types = {k: None if v is None else [type(v).__name__] for k, v in defaults.items()}
+    try:
+        check_types(given, types, f"{field}.")
+    except ConfigError as exc:
+        raise SpecError(f"{exc} (task {spec.task})") from exc
+    return {**defaults, **given}
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -183,63 +193,24 @@ def resolve_model_config(payload: dict) -> ModelConfig:
     return ModelConfig.from_dict(payload)
 
 
-def resolve_optim_config(payload: dict) -> OptimConfig:
-    known = {f.name for f in dataclasses.fields(OptimConfig)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise SpecError("; ".join(f"{k}: unknown optimizer field" for k in unknown))
-    cfg = OptimConfig(**payload)
-    cfg.validate()
-    return cfg
-
-
 def gp_kernel_spec(data: dict) -> GpKernelSpec:
-    kwargs = {}
-    for key in ("lengthscale", "variance", "period", "alpha", "nu"):
-        if key in data:
-            kwargs[key] = data[key]
-    return GpKernelSpec(kind=data.get("kernel", "rbf"), **kwargs)
-
-
-def _count_option(opts: dict, key: str, default: int) -> int:
-    value = opts.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise SpecError(f"task_options.{key}: must be an integer >= 1, got {value!r}")
-    return value
+    """The kernel named by data["kernel"], with the scales data gives."""
+    scales = {k: v for k, v in data.items() if k in GP_KERNEL_SCALES}
+    return GpKernelSpec(data["kernel"], **scales)
 
 
 def _is_rate(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < np.inf
 
 
-def gp_options(opts: dict) -> tuple[int, int, int, list]:
-    """(d_hidden, d_mlp, n_layers, variants). The narrow defaults are on
-    purpose: the recursion benefit shows when the MLP is too small to
-    shrug off the target's wiggliness. Each variant writes its own files."""
-    variants = opts.get("variants", list(GP_VARIANTS))
-    try:
-        if not isinstance(variants, list) or not variants:
-            raise SpecError("must be a non-empty list of variant names")
-        for v in variants:
-            parse_variant(v)
-        if len(set(variants)) != len(variants):
-            raise SpecError(f"{variants} repeats a variant")
-    except SpecError as exc:
-        raise SpecError(f"task_options.variants: {exc}") from exc
-    return (_count_option(opts, "d_hidden", 16), _count_option(opts, "d_mlp", 32),
-            _count_option(opts, "n_layers", 2), variants)
-
-
 def sweep_lrs(opts: dict) -> list[float]:
-    """task_options.lrs, else n_points rates log-spaced from low to high;
-    each names its run directory to 6 significant digits."""
-    if "lrs" in opts:
-        lrs = opts["lrs"]
-    else:
-        low, high = opts.get("low", 5e-4), opts.get("high", 8e-3)
+    """Read lr-sweep options' rates: lrs, else n_points rates log-spaced
+    from low to high; each names its run directory to 6 significant digits."""
+    lrs, low, high = opts["lrs"], opts["low"], opts["high"]
+    if lrs is None:
         if not (_is_rate(low) and _is_rate(high)):
             raise SpecError(f"task_options.low, high: must be positive finite, got {low!r}, {high!r}")
-        lrs = list(lr_sweep_points(low, high, _count_option(opts, "n_points", 5)))
+        lrs = list(lr_sweep_points(low, high, opts["n_points"]))
     if (not isinstance(lrs, list) or not lrs or not all(map(_is_rate, lrs))
             or len({f"{lr:.6g}" for lr in lrs}) != len(lrs)):
         raise SpecError(f"task_options.lrs: must be distinct positive finite rates, got {lrs!r}")
@@ -307,25 +278,20 @@ def gp_variant_config(variant: str, d_hidden: int, d_mlp: int, n_layers: int,
     )
 
 
-def _gp_seed_rows(spec_dict: dict, task_dir: Path, seed: int) -> list:
+def _gp_seed_rows(spec: ExperimentSpec, task_dir: Path, seed: int) -> list:
     """All variant results for one seed; paired on one data draw."""
-    spec = ExperimentSpec.from_dict(spec_dict)
-    kernel = gp_kernel_spec(spec.data)
-    d_hidden, d_mlp, n_layers, variants = gp_options(spec.task_options)
-    n_points = spec.data.get("n_points", 640)
-    in_dim = spec.data.get("in_dim", 10)
-
-    train, test = gp_sample(kernel, n_points=n_points, seed=seed, in_dim=in_dim)
+    data, opts = read_payload(spec, "data"), read_payload(spec, "task_options")
+    train, test = gp_sample(gp_kernel_spec(data), n_points=data["n_points"], seed=seed,
+                            in_dim=data["in_dim"])
     seed_dir = task_dir / f"seed{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     write_regression_csv(seed_dir / "data.csv", [train, test])
 
-    ocfg = resolve_optim_config(spec.optim) if spec.optim else OptimConfig(
-        lr=3e-3, total_steps=600, batch_size=len(train), weight_decay=0.0,
-    )
+    ocfg = OptimConfig(**read_payload(spec, "optim"))
     rows = []
-    for variant in variants:
-        mcfg = gp_variant_config(variant, d_hidden, d_mlp, n_layers, in_dim)
+    for variant in opts["variants"]:
+        mcfg = gp_variant_config(variant, opts["d_hidden"], opts["d_mlp"], opts["n_layers"],
+                                 data["in_dim"])
         model = build_model(mcfg, seed=seed)
         counts = count_parameters(model)
         metrics = train_loop(
@@ -351,13 +317,12 @@ def _gp_seed_rows(spec_dict: dict, task_dir: Path, seed: int) -> list:
 
 
 def run_gp_regression(spec: ExperimentSpec, task_dir: Path, jobs: int = 1) -> dict:
-    spec_dict = spec.to_dict()
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_gp_seed_rows, itertools.repeat(spec_dict),
+            chunks = list(pool.map(_gp_seed_rows, itertools.repeat(spec),
                                    itertools.repeat(task_dir), spec.seeds))
     else:
-        chunks = [_gp_seed_rows(spec_dict, task_dir, seed) for seed in spec.seeds]
+        chunks = [_gp_seed_rows(spec, task_dir, seed) for seed in spec.seeds]
     rows = [row for chunk in chunks for row in chunk]
 
     header = ["seed", "variant", "steps", "mlp_core_params", "total_params",
@@ -379,9 +344,8 @@ def run_gp_regression(spec: ExperimentSpec, task_dir: Path, jobs: int = 1) -> di
 
 
 def _lm_windows(spec: ExperimentSpec):
-    corpus = spec.data.get("corpus", "") or corpus_path()
-    seq_len = spec.data.get("seq_len", 65)
-    return ingest_text(corpus, seq_len)
+    data = read_payload(spec, "data")
+    return ingest_text(data["corpus"] or corpus_path(), data["seq_len"])
 
 
 def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimConfig):
@@ -396,8 +360,7 @@ def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimCo
             f"corpus gives {len(windows)} windows; after holding out {len(held_out)} "
             f"for eval, {len(train)} remain, fewer than batch_size {ocfg.batch_size}"
         )
-    model_payload = spec.model or {"preset": "lm-smoke"}
-    model = build_model(resolve_model_config(model_payload), seed=seed)
+    model = build_model(resolve_model_config(read_payload(spec, "model")), seed=seed)
     eval_before = lm_eval(model, held_out)
     stream = batch_iterator(train, ocfg.batch_size, seed=seed)
     seed_dir.mkdir(parents=True, exist_ok=True)
@@ -416,9 +379,7 @@ def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimCo
 
 
 def run_lm_smoke(spec: ExperimentSpec, task_dir: Path) -> dict:
-    ocfg = resolve_optim_config(spec.optim) if spec.optim else OptimConfig(
-        total_steps=500, batch_size=8,
-    )
+    ocfg = OptimConfig(**read_payload(spec, "optim"))
     results = {}
     for seed in spec.seeds:
         seed_dir = task_dir / f"seed{seed}"
@@ -439,14 +400,12 @@ def run_lm_smoke(spec: ExperimentSpec, task_dir: Path) -> dict:
 
 
 def run_lr_sweep(spec: ExperimentSpec, task_dir: Path) -> dict:
-    lrs = sweep_lrs(spec.task_options)
-    base_optim = dict(spec.optim)
+    optim = read_payload(spec, "optim")
     points = []
-    for lr in lrs:
+    for lr in sweep_lrs(read_payload(spec, "task_options")):
         losses = []
         for seed in spec.seeds:
-            ocfg = resolve_optim_config({**base_optim, "lr": lr}) if base_optim else (
-                OptimConfig(lr=lr, total_steps=60, batch_size=8))
+            ocfg = OptimConfig(**optim, lr=lr)
             seed_dir = task_dir / f"lr{lr:.6g}-seed{seed}"
             metrics, _ = _lm_train_one(spec, seed, seed_dir, ocfg)
             losses.append(metrics.final_eval["loss"])
@@ -470,7 +429,7 @@ def run_lr_sweep(spec: ExperimentSpec, task_dir: Path) -> dict:
 def run_verify(spec: ExperimentSpec, task_dir: Path) -> dict:
     report = verify.run_all(
         out_path=task_dir / "verify.json",
-        fast=spec.task_options.get("fast", True),
+        fast=read_payload(spec, "task_options")["fast"],
     )
     for check in report["checks"]:
         tag = "ok  " if check["passed"] else "FAIL"
@@ -482,10 +441,13 @@ def run_verify(spec: ExperimentSpec, task_dir: Path) -> dict:
     return report
 
 
-def count_models(options: dict) -> dict[str, ModelConfig]:
-    """task_options.models by name; an inline entry's "name" defaults to "custom"."""
+def count_models(entries: list) -> dict[str, ModelConfig]:
+    """Configs by name from preset names and inline model payloads; an
+    inline entry's "name" defaults to "custom"."""
     models = {}
-    for entry in options.get("models", ["ref-86m", "cem-86m"]):
+    for entry in entries:
+        if not isinstance(entry, (str, dict)):
+            raise SpecError(f"{entry!r} is neither a preset name nor a model object")
         payload = {"preset": entry} if isinstance(entry, str) else dict(entry)
         name = entry if isinstance(entry, str) else payload.pop("name", "custom")
         if name in models:
@@ -495,12 +457,12 @@ def count_models(options: dict) -> dict[str, ModelConfig]:
 
 
 def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
-    seq_len = _count_option(spec.task_options, "seq_len", 128)
+    opts = read_payload(spec, "task_options")
     rows = []
     table = {}
-    for name, cfg in count_models(spec.task_options).items():
+    for name, cfg in count_models(opts["models"]).items():
         params = count_parameters_config(cfg)
-        flops = count_flops(cfg, seq_len=seq_len)
+        flops = count_flops(cfg, seq_len=opts["seq_len"])
         table[name] = {"params": params, "flops_per_token": flops["per_token"]}
         rows.append([name, params["total"], params["attention_core"],
                      params["mlp_core"], flops["per_token"]])
@@ -590,6 +552,35 @@ def emit_plotdata(metrics_dir) -> list:
 # entry point
 
 
+LM_DATA = {"corpus": "", "seq_len": 65}  # "" reads the bundled corpus
+LM_MODEL = {"preset": "lm-smoke"}
+OPTIM = dataclasses.asdict(OptimConfig())
+SWEEP_OPTIM = {**OPTIM, "total_steps": 60, "batch_size": 8}
+del SWEEP_OPTIM["lr"]  # each swept rate sets it
+
+# The payloads each task reads, by key and default; read_payload lays a
+# spec's payload over these. A model entry is the payload used when the
+# spec gives none.
+TASK_KEYS = {
+    "gp-regression": {
+        "data": {"kernel": "rbf", **GP_KERNEL_SCALES, "n_points": 640, "in_dim": 10},
+        # narrow on purpose: the recursion benefit shows when the MLP is too
+        # small to shrug off the target's wiggliness
+        "task_options": {"variants": list(GP_VARIANTS), "d_hidden": 16, "d_mlp": 32,
+                         "n_layers": 2},
+        # full batch: the train split is the batch whatever batch_size says
+        "optim": {**OPTIM, "lr": 3e-3, "total_steps": 600, "weight_decay": 0.0},
+    },
+    "lm-smoke": {"data": LM_DATA, "model": LM_MODEL,
+                 "optim": {**OPTIM, "total_steps": 500, "batch_size": 8}},
+    "verify": {"task_options": {"fast": True}},
+    "lr-sweep": {
+        "data": LM_DATA, "model": LM_MODEL, "optim": SWEEP_OPTIM,
+        "task_options": {"lrs": None, "low": 5e-4, "high": 8e-3, "n_points": 5},
+    },
+    "count": {"task_options": {"models": ["ref-86m", "cem-86m"], "seq_len": 128}},
+}
+
 TASKS = {
     "gp-regression": run_gp_regression,
     "lm-smoke": run_lm_smoke,
@@ -665,10 +656,10 @@ def main(argv=None) -> int:
                 payload["seeds"] = [int(s) for s in args.seeds.split(",") if s]
             except ValueError:
                 raise SpecError(f"--seeds: expected comma-separated integers, got {args.seeds!r}")
-        if args.jobs < 1:
-            raise SpecError(f"--jobs: must be >= 1, got {args.jobs}")
         spec = ExperimentSpec.from_dict(payload)
         spec.validate()
+        if args.jobs < 1 or (args.jobs > 1 and spec.task != "gp-regression"):
+            raise SpecError(f"--jobs: must be 1, or more for gp-regression only; got {args.jobs}")
     except (SpecError, ConfigError, TrainingError) as exc:
         print(f"invalid spec:\n{exc}", file=sys.stderr)
         return 2

@@ -153,7 +153,7 @@ def gp_targets(spec: GpKernelSpec, inputs: np.ndarray, seed: int) -> np.ndarray:
 
 def gp_sample(
     spec: GpKernelSpec,
-    n_points: int = 640,
+    n_points: int,
     seed: int = 0,
     in_dim: int = 10,
     train_fraction: float = 0.8,

@@ -59,6 +59,19 @@ class ConfigError(ValueError):
     """Configuration value out of range or inconsistent."""
 
 
+def check_types(given: dict, types: dict, prefix: str = "") -> None:
+    """Raise ConfigError, naming prefix + key, for a key of given not in types
+    or a value whose type name is not among types[key]. An int may stand for
+    a float, a bool is not an int, and a key typed None takes any value."""
+    for key, value in given.items():
+        if key not in types:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+        name = "None" if value is None else type(value).__name__
+        allowed = types[key]
+        if not (allowed is None or name in allowed or (name == "int" and "float" in allowed)):
+            raise ConfigError(f"{prefix}{key}: must be {' | '.join(allowed)}, got {value!r}")
+
+
 ATTENTION_KINDS = ("reference", "cem", "none")
 MLP_KINDS = ("gated", "plain", "cem")
 PRECOND_KINDS = ("identity", "diagonal", "diag_lowrank")
@@ -164,15 +177,9 @@ class ModelConfig:
             raise ConfigError("model config and its block must be JSON objects")
         data = dict(data)
         block_data = dict(data.pop("block", {}))
-        for what, klass, given in (("model", cls, data), ("block", BlockConfig, block_data)):
+        for prefix, klass, given in (("", cls, data), ("block.", BlockConfig, block_data)):
             types = {f.name: f.type.split(" | ") for f in dataclasses.fields(klass)}
-            bad = set(given) - set(types)
-            if bad:
-                raise ConfigError(f"unknown {what} config keys: {sorted(bad)}")
-            for key, value in given.items():
-                name = "None" if value is None else type(value).__name__
-                if name not in types[key] and not (name == "int" and "float" in types[key]):
-                    raise ConfigError(f"{key} must be {' | '.join(types[key])}, got {value!r}")
+            check_types(given, types, prefix)
         cfg = cls(block=BlockConfig(**block_data), **data)
         cfg.validate()
         return cfg

@@ -352,7 +352,7 @@ def akima_interpolate(xs, ys) -> AkimaCurve:
     return AkimaCurve(Akima1DInterpolator(xs, ys))
 
 
-def lr_sweep_points(low: float = 5e-4, high: float = 8e-3, n: int = 5) -> np.ndarray:
+def lr_sweep_points(low: float, high: float, n: int) -> np.ndarray:
     """Log-spaced candidate learning rates for the sweep protocol."""
     return np.logspace(np.log10(low), np.log10(high), n)
 

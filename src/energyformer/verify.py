@@ -10,12 +10,10 @@ a model; everything here is needed to trust one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-
-import dataclasses
 
 from . import energy as en
 from . import layers as ly
@@ -597,14 +595,14 @@ def tied_reference_model(model: md.Model) -> md.Model:
     cfg = model.config
     b = cfg.block
     _require_equivalence_mode(b)
-    ref_block = dataclasses.replace(
+    ref_block = replace(
         b,
         attention="reference" if b.attention == "cem" else b.attention,
         mlp="gated" if b.mlp == "cem" else b.mlp,
         inner_norm=False,
         learnable_eta=False,
     )
-    ref = md.skeleton(dataclasses.replace(cfg, block=ref_block))
+    ref = md.skeleton(replace(cfg, block=ref_block))
     source = md.named_parameters(model)
     for name, tensor in md.named_parameters(ref).items():
         if name in source:
@@ -797,7 +795,7 @@ def flipped_descent_control_check(n_instances: int = 10, seed: int = 0) -> Check
     )
 
 
-def run_all(out_path: str | Path | None = None, fast: bool = True) -> dict:
+def run_all(out_path: str | Path | None = None, *, fast: bool) -> dict:
     """Run every check, return verdicts, optionally write them as JSON."""
     n = 40 if fast else 100
     reports = [

@@ -21,7 +21,7 @@ from energyformer.cli import (
     task_dir_for,
 )
 from energyformer.data import DataError, batch_iterator
-from energyformer.train import lm_eval
+from energyformer.train import OptimConfig, lm_eval
 from energyformer.model import build_model, count_parameters_config
 
 
@@ -61,9 +61,9 @@ def test_spec_validation_messages():
     with pytest.raises(SpecError, match="seeds: duplicate"):
         ExperimentSpec(task="count", seeds=(1, 1)).validate()
     with pytest.raises(SpecError, match="optim"):
-        ExperimentSpec(task="count", optim={"lr": -1}).validate()
+        ExperimentSpec(task="lm-smoke", optim={"lr": -1}).validate()
     with pytest.raises(SpecError, match="model"):
-        ExperimentSpec(task="count", model={"kind": "banana"}).validate()
+        ExperimentSpec(task="lm-smoke", model={"kind": "banana"}).validate()
     with pytest.raises(SpecError, match="data"):
         ExperimentSpec(task="gp-regression", data={"kernel": "sincos"}).validate()
 
@@ -119,6 +119,9 @@ def test_cli_invalid_spec_exits_2(tmp_path, capsys):
     ("model", {"preset": "lm-smoke", "block": {"d_hidden": "abc"}}),
     ("optim", {"lr": "x"}),
     ("model", {"preset": 5}),
+    ("seeds", [True]),
+    ("version", True),
+    ("optim", {"total_steps": 2.5}),
 ])
 def test_cli_wrongly_typed_field_exits_2(tmp_path, capsys, field, value):
     bad = _write_spec(tmp_path, {"version": 1, "task": "lm-smoke", field: value})
@@ -141,9 +144,13 @@ def test_cli_malformed_json_exits_2(tmp_path, capsys):
 def test_cli_bad_override_exits_2(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"version": 1, "task": "count"})
     assert main(["--spec", spec, "--set", "no-equals-sign"]) == 2
-    assert main(["--spec", spec, "--set", "optim.lr=-3"]) == 2
     assert main(["--spec", spec, "--seeds", "1,two"]) == 2
     assert main(["--spec", spec, "--jobs", "0"]) == 2
+    capsys.readouterr()
+    assert main(["--spec", spec, "--jobs", "2"]) == 2  # only gp-regression fans out
+    assert "--jobs:" in capsys.readouterr().err
+    lm_spec = _write_spec(tmp_path, {"version": 1, "task": "lm-smoke"})
+    assert main(["--spec", lm_spec, "--set", "optim.lr=-3"]) == 2
 
 
 @pytest.mark.parametrize("override", [
@@ -153,7 +160,7 @@ def test_cli_bad_override_exits_2(tmp_path, capsys):
 ])
 def test_cli_non_finite_block_value_exits_2(tmp_path, capsys, override):
     spec = _write_spec(tmp_path, {
-        "version": 1, "task": "count", "out": str(tmp_path / "runs"),
+        "version": 1, "task": "lm-smoke", "out": str(tmp_path / "runs"),
         "model": {"preset": "lm-smoke"},
     })
     assert main(["--spec", spec, "--set", override]) == 2
@@ -212,27 +219,38 @@ def test_cli_bad_count_models_exit_2(tmp_path, capsys, models):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("task,options", [
-    ("gp-regression", {"variants": 5}),
-    ("gp-regression", {"variants": [1]}),
-    ("gp-regression", {"variants": []}),
-    ("gp-regression", {"variants": ["gated", "gated"]}),  # would share output files
-    ("gp-regression", {"d_hidden": "x"}),
-    ("gp-regression", {"n_layers": 0}),
-    ("lr-sweep", {"lrs": ["a"]}),
-    ("lr-sweep", {"lrs": [1e-3, -1e-3]}),
-    ("lr-sweep", {"lrs": [1e-3, 1e-3]}),  # would share a run directory
-    ("lr-sweep", {"low": "a"}),
-    ("count", {"seq_len": "x"}),
-    ("count", {"seq_len": 0}),
+@pytest.mark.parametrize("task,options", [  # options: the spec's payloads
+    ("gp-regression", {"task_options": {"variants": 5}}),
+    ("gp-regression", {"task_options": {"variants": [1]}}),
+    ("gp-regression", {"task_options": {"variants": []}}),
+    ("gp-regression", {"task_options": {"variants": ["gated", "gated"]}}),  # shared files
+    ("gp-regression", {"task_options": {"d_hidden": "x"}}),
+    ("gp-regression", {"task_options": {"n_layers": 0}}),
+    ("lr-sweep", {"task_options": {"lrs": ["a"]}}),
+    ("lr-sweep", {"task_options": {"lrs": [1e-3, -1e-3]}}),
+    ("lr-sweep", {"task_options": {"lrs": [1e-3, 1e-3]}}),  # would share a run directory
+    ("lr-sweep", {"task_options": {"low": "a"}}),
+    ("count", {"task_options": {"seq_len": "x"}}),
+    ("count", {"task_options": {"seq_len": 0}}),
+    ("gp-regression", {"data": {"n_points": "x"}}),
+    ("gp-regression", {"data": {"in_dim": 0}}),
+    ("gp-regression", {"data": {"lenghtscale": 0.8}}),
+    ("gp-regression", {"task_options": {"d_hiden": 8}}),
+    ("lr-sweep", {"task_options": {"lr": [1e-3]}}),  # typo for lrs
+    ("lr-sweep", {"optim": {"lr": 1e-3}}),  # each swept rate sets it
+    ("verify", {"task_options": {"fast": "no"}}),
+    ("gp-regression", {"model": {"preset": "lm-smoke"}}),  # variants make the models
+    ("count", {"optim": {"lr": 1e-3}}),
+    ("lm-smoke", {"data": {"seq_len": 1}}),
 ])
 def test_cli_malformed_task_options_exit_2(tmp_path, capsys, task, options):
     spec = _write_spec(tmp_path, {
-        "version": 1, "task": task, "out": str(tmp_path / "runs"), "task_options": options,
+        "version": 1, "task": task, "out": str(tmp_path / "runs"), **options,
     })
     assert main(["--spec", spec]) == 2
     err = capsys.readouterr().err
-    assert "invalid spec" in err and f"task_options.{next(iter(options))}" in err
+    field, payload = next(iter(options.items()))
+    assert "invalid spec" in err and f"{field}.{next(iter(payload))}" in err
     assert not (tmp_path / "runs").exists()
 
 
@@ -291,7 +309,7 @@ def test_lm_smoke_eval_windows_are_held_out(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "batch_iterator", spy_batches)
     monkeypatch.setattr(cli, "lm_eval", spy_eval)
     spec = ExperimentSpec(out=str(tmp_path / "runs"), **LM_SPEC)
-    cli._lm_train_one(spec, 0, tmp_path / "seed0", cli.resolve_optim_config(spec.optim))
+    cli._lm_train_one(spec, 0, tmp_path / "seed0", OptimConfig(**spec.optim))
     # 65-byte windows of the bundled corpus are all distinct, so disjoint
     # contents mean disjoint windows
     train_rows = {w.tobytes() for w in seen["train"]}
@@ -316,7 +334,7 @@ def test_lm_smoke_corpus_too_small_for_held_out_split(tmp_path):
     spec = ExperimentSpec(out=str(tmp_path / "runs"), data={
         "seq_len": 17, "corpus": str(corpus)}, **LM_SPEC)
     with pytest.raises(DataError, match="67 windows"):
-        cli._lm_train_one(spec, 0, tmp_path / "seed0", cli.resolve_optim_config(spec.optim))
+        cli._lm_train_one(spec, 0, tmp_path / "seed0", OptimConfig(**spec.optim))
 
 
 def test_gp_task_writes_paired_artifacts(tmp_path):

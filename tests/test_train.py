@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import Akima1DInterpolator
 
+from energyformer.cli import TASK_KEYS
 from energyformer.data import GpKernelSpec, gp_sample
 from energyformer.model import (
     BlockConfig,
@@ -395,7 +396,7 @@ def test_non_finite_knots_rejected():
     with pytest.raises(InterpolationError, match="finite"):
         akima_interpolate([0.0, 1.0, np.inf, 3.0, 4.0], np.ones(5))
     with pytest.raises(InterpolationError, match="finite"):
-        estimate_lr_optimum(lr_sweep_points(), [3.0, 2.0, np.nan, 2.5, 3.0])
+        estimate_lr_optimum(lr_sweep_points(5e-4, 8e-3, 5), [3.0, 2.0, np.nan, 2.5, 3.0])
 
 
 def test_argmin_no_higher_than_dense_grid_on_non_convex_curves():
@@ -430,7 +431,8 @@ def test_convex_curves_recover_analytic_optimum():
 
 
 def test_lr_sweep_points_protocol():
-    pts = lr_sweep_points()
+    opts = TASK_KEYS["lr-sweep"]["task_options"]  # the lr-sweep task's default rates
+    pts = lr_sweep_points(opts["low"], opts["high"], opts["n_points"])
     assert len(pts) == 5
     assert pts[0] == pytest.approx(5e-4)
     assert pts[-1] == pytest.approx(8e-3)
@@ -440,7 +442,7 @@ def test_lr_sweep_points_protocol():
 
 def test_lr_optimum_recovered_from_sweep():
     target = 2e-3
-    lrs = lr_sweep_points()
+    lrs = lr_sweep_points(5e-4, 8e-3, 5)
     losses = (np.log10(lrs) - np.log10(target)) ** 2 + 0.5
     best, loss_at_best = estimate_lr_optimum(lrs, losses)
     assert best == pytest.approx(target, rel=0.02)
