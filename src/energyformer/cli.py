@@ -44,6 +44,7 @@ from .model import (
     count_parameters_config,
     preset,
 )
+from .tensor import DomainError
 from .train import (
     InterpolationError,
     OptimConfig,
@@ -669,7 +670,8 @@ def main(argv=None) -> int:
 
     try:
         run_spec(spec, jobs=args.jobs)
-    except (TrainingError, DataError, NumericalError, ConfigError, InterpolationError) as exc:
+    except (TrainingError, DataError, NumericalError, DomainError, ConfigError,
+            InterpolationError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     return 0

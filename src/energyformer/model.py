@@ -424,15 +424,18 @@ def mse(pred: Tensor, targets: np.ndarray) -> Tensor:
 def named_tensors(obj, prefix: str = "") -> dict[str, Tensor]:
     """Depth-first dataclass walk collecting every Tensor with a path name."""
     found: dict[str, Tensor] = {}
-    if isinstance(obj, Tensor):
-        found[prefix] = obj
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        for f in dataclasses.fields(obj):
-            sub_prefix = f"{prefix}.{f.name}" if prefix else f.name
-            found.update(named_tensors(getattr(obj, f.name), sub_prefix))
-    elif isinstance(obj, (list, tuple)):
-        for i, item in enumerate(obj):
-            found.update(named_tensors(item, f"{prefix}.{i}"))
+
+    def walk(obj, prefix: str) -> None:
+        if isinstance(obj, Tensor):
+            found[prefix] = obj
+        elif isinstance(obj, (list, tuple)):
+            for i, item in enumerate(obj):
+                walk(item, f"{prefix}.{i}")
+        elif hasattr(obj, "__dataclass_fields__"):  # the fields, in declaration order
+            for name in obj.__dataclass_fields__:
+                walk(getattr(obj, name), f"{prefix}.{name}" if prefix else name)
+
+    walk(obj, prefix)
     return found
 
 

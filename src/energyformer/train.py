@@ -47,15 +47,15 @@ class OptimConfig:
     batch_size: int = 128
 
     def validate(self) -> None:
-        if self.lr <= 0:
+        if not self.lr > 0:  # written so that NaN fails too
             raise TrainingError(f"lr must be positive, got {self.lr}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise TrainingError("betas must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise TrainingError("eps must be positive")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise TrainingError("weight_decay must be non-negative")
-        if self.clip <= 0:
+        if not self.clip > 0:
             raise TrainingError("clip must be positive")
         if self.total_steps < 0:
             raise TrainingError("total_steps must be non-negative")

@@ -122,38 +122,105 @@ def elementwise_energy_quadrature(
 
 
 # ---------------------------------------------------------------------------
-# tied rebuilds: reference layers and energy specs from recurrence params
+# random blocks (verification scale, O(1) weights) and their tied twins
 
 
-def tied_reference_attention(
-    params: ly.CemAttentionParams, untie_values: np.random.Generator | None = None
-) -> ly.ReferenceMhaParams:
-    """Reference attention whose weights realise the tying.
+def _zeros(*shape: int) -> Tensor:
+    """An init_block draw of writable zeros."""
+    return Tensor(np.zeros(shape))
 
-    Values reuse the key projection and the output projection reuses
-    the query projection. Passing a Generator as untie_values swaps in
-    fresh value matrices instead; that variant must NOT match (used as
-    a negative control).
+
+def random_block(cfg: md.BlockConfig, seed: int) -> md.Block:
+    """The block init_block builds for cfg, with N(0, 1/d_hidden) noise
+    added to every tensor, so that the K/Q diagonal, the preconditioner
+    factors, the gains, the ALiBi offsets and a learnable eta are random
+    too. The same (cfg, seed) gives the same tensors."""
+    block = md.init_block(cfg, _zeros)
+    rng = np.random.default_rng(seed)
+    scale = 1.0 / np.sqrt(cfg.d_hidden)
+    for t in md.named_tensors(block).values():
+        t.data += rng.normal(scale=scale, size=t.shape)
+    return block
+
+
+def random_config(
+    seed: int, steps: int = 1, pure_gradient: bool = True
+) -> tuple[md.BlockConfig, int]:
+    """A recurrent block config at verification widths, plus a context length:
+    width 4, 8 or 16, 1, 2 or 4 heads, d_mlp 8, 16 or 32, ALiBi on or off,
+    and 1 to 6 tokens.
+
+    pure_gradient keeps the configuration inside the regime where each
+    update is exactly the negative energy gradient: no logit diagonal,
+    identity preconditioners, inner norm off.
     """
-    if untie_values is None:
-        w_v = params.w_k
-    else:
-        w_v = Tensor(untie_values.normal(size=params.w_k.shape))
-    return ly.ReferenceMhaParams(
-        w_q=params.w_q,
-        w_k=params.w_k,
-        w_v=w_v,
-        w_o=params.w_q,
-        tau=params.tau,
-        alibi=params.alibi,
+    rng = np.random.default_rng(seed)
+    d_h = (4, 8, 16)[rng.integers(3)]
+    n_heads = (1, 2, 4)[rng.integers(3)]
+    d_mlp = (8, 16, 32)[rng.integers(3)]
+    n_ctx = int(rng.integers(1, 7))
+    features = {}
+    if not pure_gradient:
+        features = dict(
+            kq_diag=("per-head", "shared")[rng.integers(2)],
+            attn_precond="diag_lowrank",
+            attn_precond_rank=2,
+            mlp_precond="diag_lowrank",
+            mlp_precond_rank=4,
+        )
+    cfg = md.BlockConfig(
+        d_hidden=d_h,
+        n_heads=n_heads,
+        d_mlp=d_mlp,
+        attn_steps=steps,
+        mlp_steps=steps,
+        alibi=bool(rng.integers(0, 2)),
+        inner_norm=not pure_gradient,
+        **features,
+    )
+    return cfg, n_ctx
+
+
+# reference leaf -> the recurrent leaf it is tied to; leaves not listed
+# (and every leaf of a non-recurrent sublayer) copy their own name
+TIED_LEAVES = {"w_v": "w_k", "w_o": "w_q", "w_gate": "w", "w_up": "v", "w_down": "v"}
+
+
+def _reference_config(b: md.BlockConfig) -> md.BlockConfig:
+    return replace(
+        b,
+        attention="reference" if b.attention == "cem" else b.attention,
+        mlp="gated" if b.mlp == "cem" else b.mlp,
+        inner_norm=False,
+        learnable_eta=False,
     )
 
 
-def tied_reference_mlp(params: ly.CemMlpParams) -> ly.GatedMlpParams:
-    """Gated reference MLP with down = v.T, up = v, gate = w."""
-    return ly.GatedMlpParams(
-        w_gate=params.w, w_up=params.v, w_down=Tensor(params.v.data.T.copy())
-    )
+def _tie(twin, source: dict[str, Tensor]):
+    """Fill every tensor of twin from source, by its own name or through
+    TIED_LEAVES; recurrent-only leaves of source are not read."""
+    for name, tensor in md.named_tensors(twin).items():
+        if name in source:
+            data = source[name].data
+        else:
+            scope, _, leaf = name.rpartition(".")
+            data = source[f"{scope}.{TIED_LEAVES[leaf]}"].data
+            if leaf == "w_down":
+                data = data.T
+        tensor.data = data.copy()
+    return twin
+
+
+def tied_reference_block(block: md.Block, cfg: md.BlockConfig) -> md.Block:
+    """Reference twin of a block built for cfg: values reuse the key
+    projection, the output projection reuses the query projection, and
+    the gated MLP's gate, up and down projections are w, v and v.T.
+
+    The logit diagonal, preconditioners, inner norm and eta have no
+    reference counterpart and are dropped, so the twin equals the block
+    only in equivalence mode; its causality holds in any mode.
+    """
+    return _tie(md.init_block(_reference_config(cfg), _zeros), md.named_tensors(block))
 
 
 def interaction_spec_of(params: ly.CemAttentionParams) -> en.InteractionEnergySpec:
@@ -179,100 +246,6 @@ def interaction_spec_of(params: ly.CemAttentionParams) -> en.InteractionEnergySp
 
 def elementwise_spec_of(params: ly.CemMlpParams) -> en.ElementwiseEnergySpec:
     return en.ElementwiseEnergySpec(w=params.w.data, v=params.v.data)
-
-
-# ---------------------------------------------------------------------------
-# random layer instances (verification scale, O(1) weights)
-
-
-def random_attention_params(
-    seed: int,
-    steps: int = 1,
-    pure_gradient: bool = True,
-    with_alibi: bool | None = None,
-) -> tuple[ly.CemAttentionParams, int]:
-    """Random recurrence attention params plus a context length.
-
-    pure_gradient keeps the configuration inside the regime where the
-    update is exactly the negative energy gradient: no logit diagonal,
-    identity preconditioner, inner norm off.
-    """
-    rng = np.random.default_rng(seed)
-    d_h = int(rng.choice([4, 8, 16]))
-    n_heads = int(rng.choice([1, 2, 4]))
-    d_r = max(1, d_h // n_heads)
-    n_ctx = int(rng.integers(1, 7))
-    scale = 1.0 / np.sqrt(d_h)
-    use_alibi = bool(rng.integers(0, 2)) if with_alibi is None else with_alibi
-    alibi = None
-    if use_alibi:
-        alibi = ly.AlibiParams(
-            slopes=en.alibi_slopes(n_heads),
-            b_self=Tensor(rng.normal(scale=0.3)),
-            b_cross=Tensor(rng.normal(scale=0.3)),
-        )
-    params = ly.CemAttentionParams(
-        w_q=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
-        w_k=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
-        tau=float(np.sqrt(d_r)),
-        steps=steps,
-        eta=1.0,
-        diag=None,
-        precond=None,
-        alibi=alibi,
-        inner_norm=None,
-    )
-    if not pure_gradient:
-        kind = rng.choice(["per-head", "shared"])
-        n_diag = n_heads if kind == "per-head" else 1
-        params = ly.CemAttentionParams(
-            w_q=params.w_q,
-            w_k=params.w_k,
-            tau=params.tau,
-            steps=steps,
-            eta=1.0,
-            diag=Tensor(rng.normal(size=(n_diag, d_h)) * scale),
-            precond=tuple(
-                random_preconditioner(rng, d_h, kind="diag_lowrank", rank=2)
-                for _ in range(n_heads)
-            ),
-            alibi=alibi,
-            inner_norm=ly.RmsNormParams(gain=Tensor(1.0 + 0.1 * rng.normal(size=d_h))),
-        )
-    return params, n_ctx
-
-
-def random_mlp_params(seed: int, steps: int = 1, pure_gradient: bool = True) -> ly.CemMlpParams:
-    rng = np.random.default_rng(seed)
-    d_h = int(rng.choice([4, 8, 16]))
-    d_m = int(rng.choice([8, 16, 32]))
-    scale = 1.0 / np.sqrt(d_h)
-    precond = None
-    norm = None
-    if not pure_gradient:
-        precond = random_preconditioner(rng, d_h, kind="diag_lowrank", rank=4)
-        norm = ly.RmsNormParams(gain=Tensor(1.0 + 0.1 * rng.normal(size=d_h)))
-    return ly.CemMlpParams(
-        w=Tensor(rng.normal(size=(d_m, d_h)) * scale),
-        v=Tensor(rng.normal(size=(d_m, d_h)) * scale),
-        steps=steps,
-        eta=1.0,
-        precond=precond,
-        inner_norm=norm,
-    )
-
-
-def random_preconditioner(
-    rng: np.random.Generator, dim: int, kind: str = "diag_lowrank", rank: int = 2
-) -> ly.PreconditionerParams:
-    p = Tensor(rng.normal(loc=1.0 / np.sqrt(dim), scale=0.1 / np.sqrt(dim), size=dim))
-    if kind == "diagonal":
-        return ly.PreconditionerParams(p=p)
-    return ly.PreconditionerParams(
-        p=p,
-        u=Tensor(rng.normal(size=(dim, rank)) * 0.2),
-        v=Tensor(rng.normal(size=(dim, rank)) * 0.2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,30 +281,27 @@ def tied_equivalence_check(
 ) -> CheckReport:
     """Recurrent layers at one plain step must equal tied references.
 
-    Per config: draw random weights, run the recurrence with steps=1,
-    identity preconditioner, no diagonal, inner norm off; subtract the
-    input; compare against the tied reference layer output.
+    Per config: draw a random block in pure-gradient mode (steps=1,
+    identity preconditioners, no diagonal, inner norm off), run one of its
+    recurrent sublayers, subtract the input, and compare against the same
+    sublayer of its tied reference twin.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = None
     for c in range(n_configs):
         sub = int(rng.integers(0, 2**31))
-        if c % 2 == 0:
-            params, n_ctx = random_attention_params(sub, steps=1, pure_gradient=True)
-            d_h = params.w_q.shape[2]
-            h = Tensor(np.random.default_rng(sub + 1).normal(size=(n_ctx, d_h)))
-            got = ly.cem_attention(h, params).data - h.data
-            want = ly.reference_mha(h, tied_reference_attention(params)).data
-            kind = "attention"
+        cfg, n_ctx = random_config(sub)
+        block = random_block(cfg, sub)
+        twin = tied_reference_block(block, cfg)
+        kind = "attention" if c % 2 == 0 else "mlp"
+        rows = n_ctx if kind == "attention" else 5
+        h = Tensor(np.random.default_rng(sub + 1).normal(size=(rows, cfg.d_hidden)))
+        if kind == "attention":
+            got, want = ly.cem_attention(h, block.attn), ly.reference_mha(h, twin.attn)
         else:
-            params = random_mlp_params(sub, steps=1, pure_gradient=True)
-            d_h = params.w.shape[1]
-            h = Tensor(np.random.default_rng(sub + 1).normal(size=(5, d_h)))
-            got = ly.cem_mlp(h, params).data - h.data
-            want = ly.reference_gated_mlp(h, tied_reference_mlp(params)).data
-            kind = "mlp"
-        dev = max_abs(got, want)
+            got, want = ly.cem_mlp(h, block.mlp), ly.reference_gated_mlp(h, twin.mlp)
+        dev = max_abs(got.data - h.data, want.data)
         if dev > worst:
             worst, worst_case = dev, {"kind": kind, "seed": sub}
     return CheckReport(
@@ -345,15 +315,14 @@ def tied_equivalence_check(
 
 
 def untied_deviation(seed: int = 0) -> float:
-    """Deviation when value weights are deliberately re-drawn (must be large)."""
-    params, n_ctx = random_attention_params(seed, steps=1, pure_gradient=True)
-    n_ctx = max(n_ctx, 3)
-    d_h = params.w_q.shape[2]
-    h = Tensor(np.random.default_rng(seed + 1).normal(size=(n_ctx, d_h)))
-    got = ly.cem_attention(h, params).data - h.data
-    bad_ref = tied_reference_attention(params, untie_values=np.random.default_rng(seed + 2))
-    want = ly.reference_mha(h, bad_ref).data
-    return max_abs(got, want)
+    """Deviation when the twin's value weights are re-drawn (must be large)."""
+    cfg, n_ctx = random_config(seed)
+    block = random_block(cfg, seed)
+    twin = tied_reference_block(block, cfg)
+    twin.attn.w_v.data = np.random.default_rng(seed + 2).normal(size=twin.attn.w_v.shape)
+    h = Tensor(np.random.default_rng(seed + 1).normal(size=(max(n_ctx, 3), cfg.d_hidden)))
+    got = ly.cem_attention(h, block.attn).data - h.data
+    return max_abs(got, ly.reference_mha(h, twin.attn).data)
 
 
 def single_step_consistency_check(
@@ -369,23 +338,20 @@ def single_step_consistency_check(
     for c in range(n_configs):
         sub = int(rng.integers(0, 2**31))
         eta = float(rng.choice([1.0, 0.5, 0.05]))
+        cfg, n_ctx = random_config(sub)
+        cfg = replace(cfg, attn_eta=eta, mlp_eta=eta)
+        block = random_block(cfg, sub)
         if c % 2 == 0:
-            params, n_ctx = random_attention_params(sub, steps=1, pure_gradient=True)
-            params.eta = eta
-            d_h = params.w_q.shape[2]
-            h = np.random.default_rng(sub + 1).normal(size=(n_ctx, d_h))
-            out = ly.cem_attention(Tensor(h), params).data
-            spec = interaction_spec_of(params)
+            h = np.random.default_rng(sub + 1).normal(size=(n_ctx, cfg.d_hidden))
+            out = ly.cem_attention(Tensor(h), block.attn).data
+            spec = interaction_spec_of(block.attn)
             for i in range(n_ctx):
                 grad = en.interaction_energy_grad(h[i], h[: i + 1], spec)
                 worst = max(worst, max_abs(out[i] - h[i], -eta * grad))
         else:
-            params = random_mlp_params(sub, steps=1, pure_gradient=True)
-            params.eta = eta
-            d_h = params.w.shape[1]
-            h = np.random.default_rng(sub + 1).normal(size=(4, d_h))
-            out = ly.cem_mlp(Tensor(h), params).data
-            spec = elementwise_spec_of(params)
+            h = np.random.default_rng(sub + 1).normal(size=(4, cfg.d_hidden))
+            out = ly.cem_mlp(Tensor(h), block.mlp).data
+            spec = elementwise_spec_of(block.mlp)
             for i in range(h.shape[0]):
                 grad = en.elementwise_energy_grad(h[i], h[i], spec)
                 worst = max(worst, max_abs(out[i] - h[i], -eta * grad))
@@ -427,11 +393,11 @@ def descent_trace(
     1e-8), which must happen for a true descent direction. flip_sign
     negates the update, a mutant that must fail the decrease test.
     """
+    cfg, n_ctx = random_config(seed)
+    block = random_block(cfg, seed)
     if kind == "attention":
-        params, n_ctx = random_attention_params(seed, steps=1, pure_gradient=True)
-        n_ctx = max(n_ctx, 2)
-        d_h = params.w_q.shape[2]
-        h = np.random.default_rng(seed + 1).normal(size=(n_ctx, d_h))
+        params = block.attn
+        h = np.random.default_rng(seed + 1).normal(size=(max(n_ctx, 2), cfg.d_hidden))
         spec = interaction_spec_of(params)
 
         def state_after(t: int, eta: float) -> np.ndarray:
@@ -447,9 +413,8 @@ def descent_trace(
             return en.interaction_energy_grad(x, h, spec)
 
     elif kind == "mlp":
-        params = random_mlp_params(seed, steps=1, pure_gradient=True)
-        d_h = params.w.shape[1]
-        hvec = np.random.default_rng(seed + 1).normal(size=d_h)
+        params = block.mlp
+        hvec = np.random.default_rng(seed + 1).normal(size=cfg.d_hidden)
         spec = elementwise_spec_of(params)
 
         def state_after(t: int, eta: float) -> np.ndarray:
@@ -509,8 +474,8 @@ def causality_check(
 ) -> CheckReport:
     """Perturbing tokens after position i must not move outputs up to i.
 
-    Covers the recurrent attention at several step counts (features on)
-    and the reference attention.
+    Covers the recurrent attention at several step counts, features on
+    for half the configs, and the attention of its reference twin.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -518,8 +483,10 @@ def causality_check(
         sub = int(rng.integers(0, 2**31))
         steps = [1, 2, 4][c % 3]
         pure = bool(c % 2)
-        params, _ = random_attention_params(sub, steps=steps, pure_gradient=pure)
-        d_h = params.w_q.shape[2]
+        cfg, _ = random_config(sub, steps=steps, pure_gradient=pure)
+        block = random_block(cfg, sub)
+        params = block.attn
+        d_h = cfg.d_hidden
         n_ctx = 6
         h = np.random.default_rng(sub + 1).normal(size=(n_ctx, d_h))
         cut = int(np.random.default_rng(sub + 2).integers(1, n_ctx))
@@ -530,7 +497,7 @@ def causality_check(
         pert = ly.cem_attention(Tensor(h_pert), params).data
         worst = max(worst, max_abs(base[:cut], pert[:cut]))
 
-        ref = tied_reference_attention(params)
+        ref = tied_reference_block(block, cfg).attn
         base_r = ly.reference_mha(Tensor(h), ref).data
         pert_r = ly.reference_mha(Tensor(h_pert), ref).data
         worst = max(worst, max_abs(base_r[:cut], pert_r[:cut]))
@@ -578,11 +545,6 @@ def _require_equivalence_mode(b: md.BlockConfig) -> None:
         raise ValueError("not in equivalence mode: " + "; ".join(problems))
 
 
-# reference leaf -> the recurrent leaf it is tied to; leaves not listed
-# (and every leaf of a non-recurrent sublayer) copy their own name
-TIED_LEAVES = {"w_v": "w_k", "w_o": "w_q", "w_gate": "w", "w_up": "v", "w_down": "v"}
-
-
 def tied_reference_model(model: md.Model) -> md.Model:
     """Reference-architecture twin of an equivalence-mode recurrent model.
 
@@ -593,27 +555,9 @@ def tied_reference_model(model: md.Model) -> md.Model:
     accumulated rounding.
     """
     cfg = model.config
-    b = cfg.block
-    _require_equivalence_mode(b)
-    ref_block = replace(
-        b,
-        attention="reference" if b.attention == "cem" else b.attention,
-        mlp="gated" if b.mlp == "cem" else b.mlp,
-        inner_norm=False,
-        learnable_eta=False,
-    )
-    ref = md.skeleton(replace(cfg, block=ref_block))
-    source = md.named_parameters(model)
-    for name, tensor in md.named_parameters(ref).items():
-        if name in source:
-            data = source[name].data
-        else:
-            scope, _, leaf = name.rpartition(".")
-            data = source[f"{scope}.{TIED_LEAVES[leaf]}"].data
-            if leaf == "w_down":
-                data = data.T
-        tensor.data = data.copy()
-    return ref
+    _require_equivalence_mode(cfg.block)
+    ref = md.skeleton(replace(cfg, block=_reference_config(cfg.block)))
+    return _tie(ref, md.named_parameters(model))
 
 
 def model_tied_equivalence_check(

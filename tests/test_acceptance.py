@@ -15,7 +15,7 @@ import energyformer.energy as en
 import energyformer.layers as ly
 import energyformer.verify as vf
 from energyformer.cli import ExperimentSpec, gp_variant_config, run_spec
-from energyformer.model import count_parameters_config, preset
+from energyformer.model import BlockConfig, count_parameters_config, preset
 from energyformer.tensor import Tensor
 from energyformer.train import akima_interpolate
 
@@ -23,29 +23,11 @@ from energyformer.train import akima_interpolate
 # layer equivalences
 
 
-def _attention_instance(rng, with_alibi):
-    d_h = int(rng.choice([8, 16]))
-    n_heads = int(rng.choice([1, 2, 4]))
-    d_r = d_h // n_heads
-    n_ctx = int(rng.integers(1, 17))
-    scale = 1.0 / np.sqrt(d_h)
-    alibi = None
-    if with_alibi:
-        alibi = ly.AlibiParams(
-            slopes=en.alibi_slopes(n_heads),
-            b_self=Tensor(rng.normal(scale=0.3)),
-            b_cross=Tensor(rng.normal(scale=0.3)),
-        )
-    params = ly.CemAttentionParams(
-        w_q=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
-        w_k=Tensor(rng.normal(size=(n_heads, d_r, d_h)) * scale),
-        tau=float(np.sqrt(d_r)),
-        steps=1,
-        eta=1.0,
-        alibi=alibi,
-    )
-    h = Tensor(rng.normal(size=(n_ctx, d_h)))
-    return params, h
+def _tied_pair(rng, **fields):
+    """A random equivalence-mode block and its tied reference twin."""
+    cfg = BlockConfig(inner_norm=False, **fields)
+    block = vf.random_block(cfg, int(rng.integers(0, 2**31)))
+    return block, vf.tied_reference_block(block, cfg)
 
 
 def test_tied_attention_equals_reference_mha():
@@ -54,9 +36,13 @@ def test_tied_attention_equals_reference_mha():
     worst = 0.0
     n = 120
     for c in range(n):
-        params, h = _attention_instance(rng, with_alibi=bool(c % 2))
-        got = ly.cem_attention(h, params).data - h.data
-        want = ly.reference_mha(h, vf.tied_reference_attention(params)).data
+        d_h = int(rng.choice([8, 16]))
+        n_heads = int(rng.choice([1, 2, 4]))
+        n_ctx = int(rng.integers(1, 17))
+        block, twin = _tied_pair(rng, d_hidden=d_h, n_heads=n_heads, d_mlp=8, alibi=bool(c % 2))
+        h = Tensor(rng.normal(size=(n_ctx, d_h)))
+        got = ly.cem_attention(h, block.attn).data - h.data
+        want = ly.reference_mha(h, twin.attn).data
         worst = max(worst, vf.max_abs(got, want))
     elapsed = time.perf_counter() - t0
     print(f"tied attention: worst={worst:.3e} over {n} configs in {elapsed:.1f}s")
@@ -73,16 +59,10 @@ def test_tied_mlp_equals_reference_gated_mlp():
         d_h = int(rng.choice([8, 16]))
         d_m = int(rng.choice([8, 16, 32]))
         rows = int(rng.integers(1, 17))
-        scale = 1.0 / np.sqrt(d_h)
-        params = ly.CemMlpParams(
-            w=Tensor(rng.normal(size=(d_m, d_h)) * scale),
-            v=Tensor(rng.normal(size=(d_m, d_h)) * scale),
-            steps=1,
-            eta=1.0,
-        )
+        block, twin = _tied_pair(rng, d_hidden=d_h, d_mlp=d_m, attention="none")
         h = Tensor(rng.normal(size=(rows, d_h)))
-        got = ly.cem_mlp(h, params).data - h.data
-        want = ly.reference_gated_mlp(h, vf.tied_reference_mlp(params)).data
+        got = ly.cem_mlp(h, block.mlp).data - h.data
+        want = ly.reference_gated_mlp(h, twin.mlp).data
         worst = max(worst, vf.max_abs(got, want))
     elapsed = time.perf_counter() - t0
     print(f"tied mlp: worst={worst:.3e} over {n} configs in {elapsed:.1f}s")
@@ -101,9 +81,9 @@ def test_interaction_energy_gradient_matches_finite_differences():
     n = 200
     for c in range(n):
         sub = int(rng.integers(0, 2**31))
-        params, n_ctx = vf.random_attention_params(sub, pure_gradient=bool(c % 2))
-        spec = vf.interaction_spec_of(params)
-        d_h = params.w_q.shape[2]
+        cfg, n_ctx = vf.random_config(sub, pure_gradient=bool(c % 2))
+        spec = vf.interaction_spec_of(vf.random_block(cfg, sub).attn)
+        d_h = cfg.d_hidden
         inner = np.random.default_rng(sub + 9)
         history = inner.normal(size=(n_ctx, d_h))
         x = inner.normal(size=d_h)
@@ -126,8 +106,9 @@ def test_elementwise_energy_gradient_matches_finite_differences():
     n = 200
     for _ in range(n):
         sub = int(rng.integers(0, 2**31))
-        spec = vf.elementwise_spec_of(vf.random_mlp_params(sub))
-        d_h = spec.v.shape[1]
+        cfg, _ = vf.random_config(sub)
+        spec = vf.elementwise_spec_of(vf.random_block(cfg, sub).mlp)
+        d_h = cfg.d_hidden
         inner = np.random.default_rng(sub + 9)
         x = inner.normal(size=d_h)
         h = inner.normal(size=d_h)
@@ -204,8 +185,10 @@ def test_causality_is_exact():
     # the per-token sublayer cannot mix rows either
     rng = np.random.default_rng(106)
     for _ in range(5):
-        params = vf.random_mlp_params(int(rng.integers(0, 2**31)), steps=2)
-        d_h = params.w.shape[1]
+        sub = int(rng.integers(0, 2**31))
+        cfg, _ = vf.random_config(sub, steps=2)
+        params = vf.random_block(cfg, sub).mlp
+        d_h = cfg.d_hidden
         h = rng.normal(size=(6, d_h))
         pert = h.copy()
         pert[4:] += rng.normal(size=(2, d_h))
@@ -310,13 +293,8 @@ def test_concat_projection_equals_head_sum():
         n_heads = int(rng.choice([1, 2, 4]))
         d_r = d_h // n_heads
         j = int(rng.integers(2, 9))
-        params = ly.ReferenceMhaParams(
-            w_q=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
-            w_k=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
-            w_v=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
-            w_o=Tensor(rng.normal(size=(n_heads, d_r, d_h))),
-            tau=float(np.sqrt(d_r)),
-        )
+        cfg = BlockConfig(d_hidden=d_h, n_heads=n_heads, d_mlp=8, attention="reference")
+        params = vf.random_block(cfg, int(rng.integers(0, 2**31))).attn
         h = rng.normal(size=(j, d_h))
         got = ly.reference_mha(Tensor(h), params).data
 

@@ -1,11 +1,14 @@
 """Spec parsing, overrides, artifact layout, and the small end-to-end
 command paths."""
 
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from energyformer import cli
 from energyformer.cli import (
@@ -108,6 +111,40 @@ def test_variant_parameter_relationships():
 # entry point
 
 
+KEYS = st.text(alphabet="abc_", min_size=1, max_size=3)  # no '.' or '='
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=st.dictionaries(KEYS, JSON_VALUES, max_size=4),
+       path=st.lists(KEYS, min_size=1, max_size=3), value=JSON_VALUES)
+def test_set_override_round_trips(tree, path, value):
+    node = tree
+    for key in path[:-1]:  # the override descends only through objects
+        node = node.get(key, {})
+        assume(isinstance(node, dict))
+    dotted = ".".join(path)
+    key, parsed = cli._parse_override(f"{dotted}={json.dumps(value)}")
+    assert (key, parsed) == (dotted, value)
+
+    before = copy.deepcopy(tree)
+    cli._apply_override(tree, key, parsed)
+    node, old = tree, before
+    for depth, key in enumerate(path):
+        # every key beside the path is unchanged, and a node made on the
+        # way down holds only the path
+        assert {k: v for k, v in node.items() if k != key} == \
+            {k: v for k, v in old.items() if k != key}
+        if depth == len(path) - 1:
+            assert node[key] == value
+        else:
+            node, old = node[key], old.get(key, {})
+
+
 def test_cli_invalid_spec_exits_2(tmp_path, capsys):
     bad = _write_spec(tmp_path, {"version": 1, "task": "wat"})
     assert main(["--spec", bad]) == 2
@@ -166,6 +203,30 @@ def test_cli_non_finite_block_value_exits_2(tmp_path, capsys, override):
     assert main(["--spec", spec, "--set", override]) == 2
     assert "invalid spec" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("field", ["lr", "eps", "clip", "weight_decay"])
+def test_cli_nan_optim_value_exits_2(tmp_path, capsys, field):
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "lm-smoke", "out": str(tmp_path / "runs"),
+        "optim": {"lr": 1e-3, field: float("nan"), "total_steps": 3, "batch_size": 2},
+    })
+    assert main(["--spec", spec]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_diverging_run_exits_1(tmp_path, capsys):
+    # a valid spec whose updates overflow: the softmax meets non-finite rows
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "lm-smoke", "out": str(tmp_path / "runs"),
+        "optim": {"lr": 1e30, "total_steps": 6, "batch_size": 2, "clip": 1e9},
+    })
+    with np.errstate(all="ignore"):
+        assert main(["--spec", spec]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed")
+    assert "Traceback" not in err
 
 
 def test_cli_count_end_to_end(tmp_path, capsys):

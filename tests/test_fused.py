@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed_reference as ref
-from energyformer import energy as en
 from energyformer import layers as ly
+from energyformer import model as md
 from energyformer import verify as vf
 from energyformer.model import named_tensors
 from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul, tsum
@@ -24,56 +24,31 @@ from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul, 
 FWD_TOL = 1e-12
 GRAD_TOL = 1e-10
 LEADS = ((), (2,), (2, 3))
-PRECONDS = ("none", "diagonal", "diag_lowrank")
 LONG = 150  # three query tiles at the real tile size, the last one ragged
 
 
-def _norm(rng, d, on):
-    return ly.RmsNormParams(gain=Tensor(1.0 + 0.1 * rng.normal(size=d))) if on else None
-
-
-def _precond(rng, d, kind):
-    return None if kind == "none" else vf.random_preconditioner(rng, d, kind=kind, rank=2)
-
-
-def attention_params(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps):
+def attention_params(seed, **fields):
+    """Recurrent attention of a random block: width 4 or 8 and one to
+    three heads drawn from seed, preconditioners of rank 2."""
     rng = np.random.default_rng(seed)
-    d = int(rng.choice([4, 8]))
-    k = int(rng.choice([1, 2, 3]))
-    d_r = max(1, d // k)
-    scale = 1.0 / np.sqrt(d)
-    diag = None
-    if kq_diag != "none":
-        n_diag = 1 if kq_diag == "shared" else k
-        diag = Tensor(rng.normal(size=(n_diag, d)) * scale)
-    return ly.CemAttentionParams(
-        w_q=Tensor(rng.normal(size=(k, d_r, d)) * scale),
-        w_k=Tensor(rng.normal(size=(k, d_r, d)) * scale),
-        tau=float(np.sqrt(d_r)),
-        steps=steps,
-        eta=Tensor(0.7) if learnable_eta else 0.7,
-        diag=diag,
-        precond=None if precond == "none" else tuple(_precond(rng, d, precond) for _ in range(k)),
-        alibi=None if not alibi else ly.AlibiParams(
-            slopes=en.alibi_slopes(k),
-            b_self=Tensor(rng.normal(scale=0.3)),
-            b_cross=Tensor(rng.normal(scale=0.3)),
-        ),
-        inner_norm=_norm(rng, d, inner_norm),
+    cfg = md.BlockConfig(
+        d_hidden=int(rng.choice([4, 8])), n_heads=int(rng.choice([1, 2, 3])), d_mlp=8,
+        attn_eta=0.7, attn_precond_rank=2, **fields,
     )
+    return vf.random_block(cfg, seed).attn
 
 
-def mlp_params(seed, inner_norm, precond, learnable_eta, steps):
+def mlp_params(seed, **fields):
+    """Recurrent MLP of a random block: unless fields say otherwise, width
+    4 or 6 and d_mlp 8 or 10 drawn from seed, a rank-2 preconditioner.
+
+    The MLP energy is unbounded below, so unnormalised steps can grow the
+    state geometrically: at step size 0.9, four of them reach 1e3 to 1e7
+    under these preconditioners, where rounding alone exceeds FWD_TOL."""
     rng = np.random.default_rng(seed)
-    d, d_m = int(rng.choice([4, 6])), int(rng.choice([8, 10]))
-    return ly.CemMlpParams(
-        w=Tensor(rng.normal(size=(d_m, d)) * 0.4),
-        v=Tensor(rng.normal(size=(d_m, d)) * 0.4),
-        steps=steps,
-        eta=Tensor(0.9) if learnable_eta else 0.9,
-        precond=_precond(rng, d, precond),
-        inner_norm=_norm(rng, d, inner_norm),
-    )
+    cfg = dict(d_hidden=int(rng.choice([4, 6])), d_mlp=int(rng.choice([8, 10])),
+               attention="none", mlp_eta=0.2, mlp_precond_rank=2)
+    return vf.random_block(md.BlockConfig(**{**cfg, **fields}), seed).mlp
 
 
 def run_with_grads(layer_fn, params, h, cotangent):
@@ -101,19 +76,18 @@ def assert_matches_composed(fused_fn, composed_fn, params, h, seed):
 ATTENTION_CASES = dict(
     seed=st.integers(0, 2**31 - 1),
     inner_norm=st.booleans(),
-    kq_diag=st.sampled_from(("none", "shared", "per-head")),
-    precond=st.sampled_from(PRECONDS),
+    kq_diag=st.sampled_from(md.KQ_DIAG_KINDS),
+    attn_precond=st.sampled_from(md.PRECOND_KINDS),
     alibi=st.booleans(),
     learnable_eta=st.booleans(),
-    steps=st.sampled_from((1, 2, 4)),
+    attn_steps=st.sampled_from((1, 2, 4)),
     lead=st.sampled_from(LEADS),
     seq=st.integers(1, 5),
 )
 
 
-def check_attention_case(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps,
-                         lead, seq):
-    params = attention_params(seed, inner_norm, kq_diag, precond, alibi, learnable_eta, steps)
+def check_attention_case(seed, lead, seq, **fields):
+    params = attention_params(seed, **fields)
     d = params.w_q.shape[2]
     h = np.random.default_rng(seed).normal(size=lead + (seq, d))
     assert_matches_composed(ly.cem_attention, ref.cem_attention, params, h, seed)
@@ -139,14 +113,14 @@ def test_fused_attention_matches_composed_across_tiles(**case):
 @given(
     seed=st.integers(0, 2**31 - 1),
     inner_norm=st.booleans(),
-    precond=st.sampled_from(PRECONDS),
+    mlp_precond=st.sampled_from(md.PRECOND_KINDS),
     learnable_eta=st.booleans(),
-    steps=st.sampled_from((1, 2, 4)),
+    mlp_steps=st.sampled_from((1, 2, 4)),
     lead=st.sampled_from(LEADS),
     rows=st.integers(1, 4),
 )
-def test_fused_mlp_matches_composed(seed, inner_norm, precond, learnable_eta, steps, lead, rows):
-    params = mlp_params(seed, inner_norm, precond, learnable_eta, steps)
+def test_fused_mlp_matches_composed(seed, lead, rows, **fields):
+    params = mlp_params(seed, **fields)
     d = params.v.shape[1]
     h = np.random.default_rng(seed).normal(size=lead + (rows, d))
     assert_matches_composed(ly.cem_mlp, ref.cem_mlp, params, h, seed)
@@ -159,21 +133,23 @@ def test_fused_mlp_matches_composed(seed, inner_norm, precond, learnable_eta, st
     lead=st.sampled_from(LEADS),
 )
 def test_one_node_norm_and_preconditioner_match_composed(seed, kind, lead):
-    rng = np.random.default_rng(seed)
-    d = 5
-    h = rng.normal(size=lead + (3, d))
-    norm = _norm(rng, d, True)
-    assert_matches_composed(ly.rmsnorm, ref.rmsnorm, norm, h, seed)
-    pc = _precond(rng, d, kind)
-    assert_matches_composed(ly.apply_preconditioner, ref.apply_preconditioner, pc, h, seed)
+    h = np.random.default_rng(seed).normal(size=lead + (3, 5))
+    mlp = mlp_params(seed + 2, d_hidden=5, mlp_precond=kind)
+    assert_matches_composed(ly.rmsnorm, ref.rmsnorm, mlp.inner_norm, h, seed)
+    assert_matches_composed(ly.apply_preconditioner, ref.apply_preconditioner, mlp.precond, h,
+                            seed)
+
+
+FULL = dict(inner_norm=True, learnable_eta=True, attn_precond="diag_lowrank",
+            mlp_precond="diag_lowrank")
 
 
 def full_attention(steps=2):
-    return attention_params(5, True, "shared", "diag_lowrank", True, True, steps)
+    return attention_params(5, kq_diag="shared", alibi=True, attn_steps=steps, **FULL)
 
 
 def full_mlp(steps=2):
-    return mlp_params(6, True, "diag_lowrank", True, steps)
+    return mlp_params(6, mlp_steps=steps, **FULL)
 
 
 def _width(params):
@@ -201,7 +177,7 @@ def test_tape_off_forward_equals_tape_on():
 @pytest.mark.parametrize("kq_diag", ["shared", "per-head"])
 def test_fused_attention_multi_tile_matches_composed(kq_diag):
     assert 2 * ly.QUERY_TILE < LONG < 3 * ly.QUERY_TILE
-    params = attention_params(13, True, kq_diag, "diag_lowrank", True, True, 2)
+    params = attention_params(13, kq_diag=kq_diag, alibi=True, attn_steps=2, **FULL)
     h = np.random.default_rng(14).normal(size=(2, LONG, _width(params)))
     names = named_tensors(params)
     assert {"alibi.b_self", "alibi.b_cross"} <= set(names)
@@ -247,10 +223,10 @@ def test_fused_steps_raise_dimension_errors():
     with pytest.raises(DimensionError):
         ly.cem_mlp(Tensor(rng.normal(size=(3, d_m + 1))), mlp)
     # preconditioner width differs from the state
-    attn.precond = tuple(_precond(rng, d_a + 1, "diagonal") for _ in range(attn.n_heads))
+    attn.precond = (mlp_params(9, d_hidden=d_a + 1, mlp_precond="diagonal").precond,) * attn.n_heads
     with pytest.raises(DimensionError):
         ly.cem_attention(Tensor(rng.normal(size=(3, d_a))), attn)
-    mlp.precond = _precond(rng, d_m + 1, "diag_lowrank")
+    mlp.precond = mlp_params(9, d_hidden=d_m + 1, mlp_precond="diag_lowrank").precond
     with pytest.raises(DimensionError):
         ly.cem_mlp(Tensor(rng.normal(size=(3, d_m))), mlp)
 
@@ -268,8 +244,10 @@ def test_fused_attention_raises_domain_errors():
         ly.cem_attention(Tensor(h), params)
     # w_q = -w_k makes every self logit -|w_k h_i|^2; scaled past overflow,
     # the first row's only visible entry is -inf, so the row is fully masked
-    w_k = np.random.default_rng(11).normal(size=(1, 3, 6))
-    params = ly.CemAttentionParams(w_q=Tensor(-w_k), w_k=Tensor(w_k), tau=1.0)
+    cfg = md.BlockConfig(d_hidden=6, n_heads=1, d_head=3, d_mlp=8, temperature=1.0,
+                         inner_norm=False)
+    params = vf.random_block(cfg, 11).attn
+    params.w_q.data = -params.w_k.data
     h = np.random.default_rng(12).normal(size=(3, 6))
     h[0] *= 1e200
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):

@@ -1,16 +1,31 @@
 """Layer semantics: tying, energy consistency, descent, causality, preconditioners."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from energyformer import layers as ly
 from energyformer import energy as en
+from energyformer import model as md
 from energyformer import tensor as tt
 from energyformer import verify as vf
 from energyformer.model import named_tensors
 from energyformer.tensor import DimensionError, DomainError, Tape, Tensor
 from energyformer.verify import rel_error
+
+
+def features_on(seed, **fields):
+    """A random two-step block with every recurrent feature on; fields
+    override its config."""
+    cfg, _ = vf.random_config(seed, steps=2, pure_gradient=False)
+    return vf.random_block(replace(cfg, **fields), seed)
+
+
+def random_precond(d, kind, seed):
+    cfg = md.BlockConfig(d_hidden=d, attention="none", mlp_precond=kind, mlp_precond_rank=2)
+    return vf.random_block(cfg, seed).mlp.precond
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +89,8 @@ def test_reference_mha_concat_equals_head_sum():
     for seed in range(30):
         rng = np.random.default_rng(100 + seed)
         d_h, d_r, k, j = 8, 3, 3, 5
-        params = ly.ReferenceMhaParams(
-            w_q=Tensor(rng.normal(size=(k, d_r, d_h))),
-            w_k=Tensor(rng.normal(size=(k, d_r, d_h))),
-            w_v=Tensor(rng.normal(size=(k, d_r, d_h))),
-            w_o=Tensor(rng.normal(size=(k, d_r, d_h))),
-            tau=float(np.sqrt(d_r)),
-        )
+        cfg = md.BlockConfig(d_hidden=d_h, n_heads=k, d_head=d_r, d_mlp=4, attention="reference")
+        params = vf.random_block(cfg, 100 + seed).attn
         h = rng.normal(size=(j, d_h))
         got = ly.reference_mha(Tensor(h), params).data
 
@@ -104,13 +114,8 @@ def test_reference_mha_concat_equals_head_sum():
 def test_reference_mha_causal():
     rng = np.random.default_rng(200)
     d_h, k, j = 8, 2, 6
-    params = ly.ReferenceMhaParams(
-        w_q=Tensor(rng.normal(size=(k, 4, d_h))),
-        w_k=Tensor(rng.normal(size=(k, 4, d_h))),
-        w_v=Tensor(rng.normal(size=(k, 4, d_h))),
-        w_o=Tensor(rng.normal(size=(k, 4, d_h))),
-        tau=2.0,
-    )
+    cfg = md.BlockConfig(d_hidden=d_h, n_heads=k, d_mlp=4, attention="reference", temperature=2.0)
+    params = vf.random_block(cfg, 200).attn
     h = rng.normal(size=(j, d_h))
     h2 = h.copy()
     h2[4:] += rng.normal(size=(2, d_h))
@@ -127,11 +132,7 @@ def test_reference_mha_causal():
 def test_gated_mlp_matches_scalar_loop():
     rng = np.random.default_rng(300)
     d_h, d_m, n = 6, 10, 4
-    params = ly.GatedMlpParams(
-        w_gate=Tensor(rng.normal(size=(d_m, d_h))),
-        w_up=Tensor(rng.normal(size=(d_m, d_h))),
-        w_down=Tensor(rng.normal(size=(d_h, d_m))),
-    )
+    params = vf.random_block(md.BlockConfig(d_hidden=d_h, d_mlp=d_m, mlp="gated"), 300).mlp
     h = rng.normal(size=(n, d_h))
     got = ly.reference_gated_mlp(Tensor(h), params).data
 
@@ -166,6 +167,35 @@ def test_gated_mlp_shape_validation():
 def test_tied_equivalence_sample():
     report = vf.tied_equivalence_check(n_configs=40, seed=11, tolerance=1e-10)
     assert report.passed, report.to_dict()
+
+
+def test_random_block_is_a_function_of_config_and_seed():
+    cfg = vf.full_feature_config().block
+    first, again = named_tensors(vf.random_block(cfg, 3)), named_tensors(vf.random_block(cfg, 3))
+    assert {k: t.data.tobytes() for k, t in first.items()} == \
+        {k: t.data.tobytes() for k, t in again.items()}
+
+
+def test_random_block_moves_every_tensor_off_its_init():
+    cfg = vf.full_feature_config().block
+    assert cfg.attn_precond == "diag_lowrank"
+    start = named_tensors(md.init_block(cfg, lambda *shape: Tensor(np.zeros(shape))))
+    drawn = named_tensors(vf.random_block(cfg, 0))
+    # among them the zero K/Q diagonal and v factors, unit gains, zero ALiBi offsets
+    assert {"attn.diag", "attn.precond.1.v", "attn.inner_norm.gain", "attn.alibi.b_self",
+            "mlp.precond.v", "mlp_norm.gain", "mlp.eta"} <= set(drawn) == set(start)
+    for name, t in drawn.items():
+        assert np.all(t.data != start[name].data), name
+
+
+@pytest.mark.parametrize("kq_diag,rows", [("shared", 1), ("per-head", 3)])
+def test_random_block_follows_its_config(kq_diag, rows):
+    cfg = md.BlockConfig(d_hidden=6, n_heads=3, d_mlp=8, kq_diag=kq_diag,
+                         attn_precond="diag_lowrank", attn_precond_rank=2, learnable_eta=True)
+    block = vf.random_block(cfg, 1)
+    assert block.attn.diag.shape == (rows, 6)
+    assert [pc.dim for pc in block.attn.precond] == [6, 6, 6]
+    assert named_tensors(block)["attn.eta"] is block.attn.eta  # a trained, traced leaf
 
 
 def test_untied_reference_deviates():
@@ -291,7 +321,7 @@ def test_preconditioner_apply_matches_materialized():
     for kind in ("diagonal", "diag_lowrank"):
         for _ in range(10):
             d = int(rng.integers(3, 10))
-            pc = vf.random_preconditioner(rng, d, kind=kind, rank=2)
+            pc = random_precond(d, kind, int(rng.integers(0, 2**31)))
             g = rng.normal(size=(4, d))
             got = ly.apply_preconditioner(Tensor(g), pc).data
             want = g @ ly.materialize_preconditioner(pc).T
@@ -299,8 +329,7 @@ def test_preconditioner_apply_matches_materialized():
 
 
 def test_preconditioner_materialized_symmetric():
-    rng = np.random.default_rng(701)
-    pc = vf.random_preconditioner(rng, 8, kind="diag_lowrank", rank=3)
+    pc = random_precond(8, "diag_lowrank", 701)
     mat = ly.materialize_preconditioner(pc)
     npt.assert_allclose(mat, mat.T, rtol=0, atol=0)
 
@@ -332,7 +361,7 @@ def test_preconditioner_low_rank_factors_come_in_pairs():
 
 
 def test_preconditioner_dim_mismatch():
-    pc = vf.random_preconditioner(np.random.default_rng(0), 4, kind="diagonal")
+    pc = random_precond(4, "diagonal", 0)
     with pytest.raises(DimensionError):
         ly.apply_preconditioner(Tensor(np.zeros((2, 5))), pc)
 
@@ -342,7 +371,7 @@ def test_preconditioner_dim_mismatch():
 
 
 def test_cem_attention_batched_equals_stacked():
-    params, _ = vf.random_attention_params(820, steps=2, pure_gradient=False)
+    params = features_on(820).attn
     d_h = params.w_q.shape[2]
     rng = np.random.default_rng(821)
     hb = rng.normal(size=(3, 5, d_h))
@@ -353,7 +382,7 @@ def test_cem_attention_batched_equals_stacked():
 
 
 def test_cem_mlp_batched_equals_stacked():
-    params = vf.random_mlp_params(830, steps=2, pure_gradient=False)
+    params = features_on(830).mlp
     d_h = params.w.shape[1]
     rng = np.random.default_rng(831)
     hb = rng.normal(size=(2, 4, d_h))
@@ -402,34 +431,30 @@ def layer_param_fd_check(layer_fn, params, h, seed, tol=1e-5, n_dirs=2):
 
 
 def test_full_feature_cem_attention_param_grads():
-    params, _ = vf.random_attention_params(900, steps=2, pure_gradient=False)
-    params.eta = Tensor(0.8)  # learnable step size joins the check
+    # learnable step size joins the check
+    params = features_on(900, learnable_eta=True, attn_eta=0.8).attn
     d_h = params.w_q.shape[2]
     h = np.random.default_rng(901).normal(size=(5, d_h))
     layer_param_fd_check(ly.cem_attention, params, h, seed=902)
 
 
 def test_full_feature_cem_mlp_param_grads():
-    params = vf.random_mlp_params(910, steps=2, pure_gradient=False)
-    params.eta = Tensor(1.1)
+    params = features_on(910, learnable_eta=True, mlp_eta=1.1).mlp
     d_h = params.w.shape[1]
     h = np.random.default_rng(911).normal(size=(4, d_h))
     layer_param_fd_check(ly.cem_mlp, params, h, seed=912)
 
 
 def test_reference_layers_param_grads():
-    params, _ = vf.random_attention_params(920, steps=1, pure_gradient=True)
-    ref = vf.tied_reference_attention(params)
+    cfg, _ = vf.random_config(920)
+    ref = vf.tied_reference_block(vf.random_block(cfg, 920), cfg).attn
     d_h = ref.w_q.shape[2]
     h = np.random.default_rng(921).normal(size=(4, d_h))
     layer_param_fd_check(ly.reference_mha, ref, h, seed=922)
 
     rng = np.random.default_rng(923)
-    gated = ly.GatedMlpParams(
-        w_gate=Tensor(rng.normal(size=(8, 5)) * 0.5),
-        w_up=Tensor(rng.normal(size=(8, 5)) * 0.5),
-        w_down=Tensor(rng.normal(size=(5, 8)) * 0.5),
-    )
+    cfg = md.BlockConfig(d_hidden=5, d_mlp=8, attention="none", mlp="gated")
+    gated = vf.random_block(cfg, 923).mlp
     layer_param_fd_check(ly.reference_gated_mlp, gated, rng.normal(size=(3, 5)), seed=924)
 
 
@@ -479,7 +504,7 @@ def test_layer_param_validation():
     with pytest.raises(DimensionError):
         ly.CemAttentionParams(
             w_q=t2, w_k=t2, tau=1.0,
-            precond=(vf.random_preconditioner(np.random.default_rng(0), 4, kind="diagonal"),),
+            precond=(random_precond(4, "diagonal", 0),),
         )
     with pytest.raises(DimensionError):
         ly.CemMlpParams(w=Tensor(np.zeros((3, 4))), v=Tensor(np.zeros((4, 3))))
