@@ -319,7 +319,8 @@ def _gp_seed_rows(spec: ExperimentSpec, task_dir: Path, seed: int) -> list:
 
 def run_gp_regression(spec: ExperimentSpec, task_dir: Path, jobs: int = 1) -> dict:
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, initializer=np.seterr,
+                                                    initargs=("ignore",)) as pool:  # see main
             chunks = list(pool.map(_gp_seed_rows, itertools.repeat(spec),
                                    itertools.repeat(task_dir), spec.seeds))
     else:
@@ -669,7 +670,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        run_spec(spec, jobs=args.jobs)
+        with np.errstate(all="ignore"):  # non-finite results raise typed errors below
+            run_spec(spec, jobs=args.jobs)
     except (TrainingError, DataError, NumericalError, DomainError, ConfigError,
             InterpolationError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)

@@ -9,14 +9,16 @@ weight-tied reference layers.
 
 The reference layers are composed from tape primitives and serve as the
 tied-equivalence oracles. The recurrent layers are not: each recursion
-step (inner norm, projections, logits, softmax or silu read-out,
-preconditioner, eta) runs as plain numpy over all heads and records one
-tape node with a hand-written VJP. Only the frozen context projections
-(kv = h W_k^T for all heads at once, gate = h W^T) stay ordinary tape
-matmuls, computed once.
+step (inner norm, projections, logits, softmax or silu read-out, eta)
+runs as plain numpy over all heads and records one tape node with a
+hand-written VJP. Each layer call first records the frozen context
+projections (kv = h W_k^T for all heads at once, gate = h W^T) and one
+node that folds the token-independent, symmetric preconditioner into
+the read-out weights: P applied to every row of read @ W is read @ (W P).
 The RMS norm and the preconditioner are numpy forward/VJP pairs shared
 by the fused steps and by their own one-node primitives. The composed
-form of the recurrent layers is kept under tests/ as their reference.
+form of the recurrent layers, which preconditions token rows, is kept
+under tests/ as their reference.
 
 The recurrent attention step walks causal query tiles of QUERY_TILE
 rows: tile [s0, s1) builds its logits, softmax and read-out against keys
@@ -30,8 +32,8 @@ so even at one tile the two agree to rounding rather than bit for bit.
 The reference attention stays dense: it is the oracle.
 
 Off the tape, the MLP step runs silu and the gate product in place in
-its up-projection, and both steps apply the low-rank preconditioner
-pair as one product against [u | v].
+its up-projection. The preconditioner applies its low-rank pair as one
+product against [u | v].
 
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
@@ -221,7 +223,9 @@ class PreconditionerParams:
     Diagonal part diag(softplus(scale * p)) with dim = len(p) and scale =
     sqrt(dim); p is stored at O(1/sqrt(dim)) so the diagonal starts near
     softplus(1). Given low-rank factors u, v of shape (dim, rank), it
-    adds u v.T + v u.T; v starts at zero so the map starts diagonal.
+    adds u v.T + v u.T; v starts at zero so the map starts diagonal. The
+    recurrent layers apply it once per call to the rows of their (rows,
+    dim) read-out weights, not to token rows.
     """
 
     p: Tensor
@@ -460,23 +464,39 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
     Keys and values are the same tied projection of the frozen input h,
     computed once for all heads. Each step re-projects the current
     (optionally normalised) state into queries, attends causally, maps
-    the read-out back through w_q transposed, preconditions, and adds;
-    it records one tape node. Returns the final state x_T for every
-    position, shape of h.
+    the read-out back through w_q transposed and preconditioned once
+    before the steps, and adds; it records one tape node. Returns the
+    final state x_T for every position, shape of h.
     """
     d, n = h.shape[-1], h.shape[-2]
     if params.diag is not None:
         _check_width("kq diagonal", params.diag.shape[1:], (d,))
     if params.inner_norm is not None:
         _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
-    for pc in params.precond or ():
-        _check_preconditioner_dim(pc, d)
     tiles = _query_tiles(n, params.alibi)
     kv = matmul(_with_head_axis(h), swap_last2(params.w_k))  # (..., K, J, D_r)
+    w_out = params.w_q if params.precond is None else _precondition_heads(params.w_q, params.precond)
     x = h
     for _ in range(params.steps):
-        x = _attention_step(x, h, kv, tiles, params)
+        x = _attention_step(x, h, kv, w_out, tiles, params)
     return x
+
+
+def _precondition_heads(w: Tensor, precond: tuple[PreconditionerParams, ...]) -> Tensor:
+    """P_k applied to the rows of each head's (D_r, D_h) weights w[k], one tape node."""
+    out = np.empty_like(w.data)
+    for k, pc in enumerate(precond):
+        _check_preconditioner_dim(pc, w.shape[2])
+        out[k] = precondition(w.data[k], pc)
+
+    def vjp(c):
+        g_w, g_factors = np.empty_like(w.data), []
+        for k, pc in enumerate(precond):
+            g_w[k], *g = precondition_vjp(c[k], w.data[k], pc)
+            g_factors += [t for t in g if t is not None]  # as _preconditioner_tensors
+        return (g_w, *g_factors)
+
+    return record(out, (w, *(t for pc in precond for t in _preconditioner_tensors(pc))), vjp)
 
 
 QUERY_TILE = 64  # query rows per attention tile; at J = 256, 32 ran no faster, 128 slower
@@ -502,76 +522,70 @@ def _query_tiles(n: int, alibi: AlibiParams | None) -> list[tuple[int, int, np.n
     return tiles
 
 
-def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentionParams) -> Tensor:
-    """x + eta * sum_k P_k (softmax_k kv_k) w_q,k as one tape node.
+def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
+                    params: CemAttentionParams) -> Tensor:
+    """x + eta * sum_k (softmax_k kv_k) w_out,k as one tape node, where
+    w_out,k = w_q,k P_k is the read-out weight _precondition_heads folded.
 
     Logits, softmax and read-out run tile by tile over the causal query
     tiles of _query_tiles, so the masked keys past a tile's last row are
-    never computed; heads run inside each query tile. The projections
-    into and out of the heads run over the whole sequence. 1/tau is
-    folded once into the query weights and the K/Q diagonal rather than
-    scaling every tile's logits, and each tile's logits take the tile
-    constant and the softmax in place, since nothing else reads them.
-    The fold rounds differently from the composed layer in
-    tests/composed_reference.py, which scales the logits, so the two
-    agree to rounding, not bit for bit, even at one tile.
+    never computed; heads run inside each query tile and write their
+    read-outs side by side into one (..., J, K, D_r) array. Projecting
+    out of the heads, preconditioning and summing them is then one
+    (..., J, K*D_r) @ (K*D_r, D_h) product over the whole sequence, as
+    is the projection into the heads. 1/tau is folded once into the
+    query weights and the K/Q diagonal rather than scaling every tile's
+    logits, and each tile's logits take the tile constant and the
+    softmax in place, since nothing else reads them.
+    The folds round differently from the composed layer in
+    tests/composed_reference.py, which scales the logits and
+    preconditions each head's token rows, so the two agree to rounding,
+    not bit for bit, even at one tile.
     """
-    norm, diag, precond, alibi = params.inner_norm, params.diag, params.precond, params.alibi
+    norm, diag, alibi = params.inner_norm, params.diag, params.alibi
     eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
     inv_tau = 1.0 / params.tau
-    n_heads = params.n_heads
-    parents = [x, h, kv, params.w_q]
+    heads = params.w_q.shape[:2]  # (K, D_r)
+    parents = [x, h, kv, params.w_q, w_out]  # w_out is w_q without preconditioners
     if diag is not None:
         parents.append(diag)
     if alibi is not None:
         parents += [alibi.b_self, alibi.b_cross]
     if norm is not None:
         parents.append(norm.gain)
-    for pc in precond or ():
-        parents += _preconditioner_tensors(pc)
     if isinstance(params.eta, Tensor):
         parents.append(params.eta)
     keep = recording(parents)  # off the tape, each tile's softmax dies with the tile
 
     xd, hd, w_q, kvd = x.data, h.data, params.w_q.data, kv.data
+    w_cat = w_out.data.reshape(-1, w_q.shape[2])  # every head side by side: (K*D_r, D_h)
+    w_qt = (w_q * inv_tau).reshape(w_cat.shape)
     u, y, r = _normalised_state(xd, norm)
     h_t = np.swapaxes(hd, -1, -2)
     n_diag = 0 if diag is None else diag.shape[0]  # one row shared, or one per head
-    w_qt = w_q * inv_tau
     diag_t = None if diag is None else diag.data * inv_tau
-    qs = [u @ w_qt[k].T for k in range(n_heads)]
-    reads = [np.empty(q.shape) for q in qs]
+    qs = (u @ w_qt.T).reshape(u.shape[:-1] + heads)  # (..., J, K, D_r)
+    reads = np.empty(qs.shape)
     probs = []  # per tile, each head's softmax, for the VJP
     for s0, s1, const in tiles:
         u_t, h_tt = u[..., s0:s1, :], h_t[..., :s1]
         diag_logits = [(u_t * diag_t[i]) @ h_tt for i in range(n_diag)]
         tile = []
-        for k in range(n_heads):
+        for k in range(heads[0]):
             kv_k = kvd[..., k, :s1, :]
-            logits = qs[k][..., s0:s1, :] @ np.swapaxes(kv_k, -1, -2)
+            logits = qs[..., s0:s1, k, :] @ np.swapaxes(kv_k, -1, -2)
             if n_diag:
                 logits += diag_logits[k % n_diag]
             logits += const if alibi is None else const[k]
             p = softmax_forward(logits)  # in place: p is the logits array
-            np.matmul(p, kv_k, out=reads[k][..., s0:s1, :])
+            np.matmul(p, kv_k, out=reads[..., s0:s1, k, :])
             if keep:
                 tile.append(p)
         probs.append(tile)
-    pres = []
-    upd = None
-    for k in range(n_heads):
-        pre = reads[k] @ w_q[k]
-        delta = pre if precond is None else precondition(pre, precond[k])
-        if upd is None:
-            # may alias the first head's pre, which the VJP reads back only
-            # when there is a preconditioner, whose delta is a new array
-            upd = delta
-        else:
-            upd += delta
-        if keep:
-            pres.append(pre)
-        del pre, delta  # before the next head allocates its own
-    out = upd * eta
+    reads = reads.reshape(u.shape[:-1] + (-1,))  # (..., J, K*D_r)
+    upd = reads @ w_cat
+    # only a learnable eta's cotangent reads upd; otherwise it becomes out
+    out = upd * eta if isinstance(params.eta, Tensor) else np.multiply(upd, eta, out=upd)
     out += xd  # xd + upd * eta: addition commutes exactly
 
     def vjp(c):
@@ -580,19 +594,11 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
         if isinstance(params.eta, Tensor):
             grads.add(params.eta, np.sum(c * upd))
         g_upd = c * eta
-        g_wq = np.empty_like(w_q)
-        g_reads = []
-        for k in range(n_heads):
-            g_delta = g_upd
-            if precond is not None:
-                g_delta, *g_factors = precondition_vjp(g_upd, pres[k], precond[k])
-                for t, g in zip(_preconditioner_tensors(precond[k]), g_factors):
-                    grads.add(t, g)
-            g_wq[k] = _outer_rows(reads[k], g_delta)
-            g_reads.append(g_delta @ w_q[k].T)
+        grads.add(w_out, _outer_rows(reads, g_upd).reshape(w_out.shape))
+        g_reads = (g_upd @ w_cat.T).reshape(qs.shape)
         # rows of g_q and of the diagonal's g_ud belong to one tile each;
         # g_kv and the diagonal's g_h sum over every tile that reads a key
-        g_qs = [np.empty(q.shape) for q in qs]
+        g_qs = np.empty(qs.shape)
         g_kv = np.zeros_like(kvd)
         g_uds = [np.empty(u.shape) for _ in range(n_diag)]
         g_h = np.zeros_like(hd) if n_diag else None
@@ -601,16 +607,16 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
             g_diag_logits = [None] * n_diag  # per row, summed over its heads
             for k, p in enumerate(tile):
                 kv_k = kvd[..., k, :s1, :]
-                g_read = g_reads[k][..., s0:s1, :]
+                g_read = g_reads[..., s0:s1, k, :]
                 g_logits = softmax_vjp(g_read @ np.swapaxes(kv_k, -1, -2), p)
                 if alibi is not None:
                     g_self, g_cross = alibi.offset_grads(g_logits, s0)
                     grads.add(alibi.b_self, g_self)
                     grads.add(alibi.b_cross, g_cross)
-                np.matmul(g_logits, kv_k, out=g_qs[k][..., s0:s1, :])
+                np.matmul(g_logits, kv_k, out=g_qs[..., s0:s1, k, :])
                 g_kv_k = g_kv[..., k, :s1, :]
                 g_kv_k += np.swapaxes(p, -1, -2) @ g_read
-                g_kv_k += np.swapaxes(g_logits, -1, -2) @ qs[k][..., s0:s1, :]
+                g_kv_k += np.swapaxes(g_logits, -1, -2) @ qs[..., s0:s1, k, :]
                 if n_diag:
                     i = k % n_diag
                     if g_diag_logits[i] is None:
@@ -620,14 +626,10 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, tiles, params: CemAttentio
             for i, g_dl in enumerate(g_diag_logits):
                 np.matmul(g_dl, h_tt, out=g_uds[i][..., s0:s1, :])
                 g_h[..., :s1, :] += np.swapaxes(g_dl, -1, -2) @ (u_t * diag_t[i])
-        g_u = None
-        for k in range(n_heads):
-            g_wq[k] += _outer_rows(g_qs[k], u) * inv_tau
-            g_uk = g_qs[k] @ w_qt[k]
-            if g_u is None:
-                g_u = g_uk
-            else:
-                g_u += g_uk
+        g_qs = g_qs.reshape(reads.shape)
+        g_wq = _outer_rows(g_qs, u).reshape(w_q.shape)
+        g_wq *= inv_tau
+        g_u = g_qs @ w_qt
         if diag is not None:
             g_diag = np.empty_like(diag.data)
             for i, g_ud in enumerate(g_uds):
@@ -677,37 +679,36 @@ class CemMlpParams:
 def cem_mlp(h: Tensor, params: CemMlpParams) -> Tensor:
     """Run the recurrent MLP state update rowwise over (..., D_h).
 
-    The gate (w h) is computed once from the frozen input; each step
-    gates silu(v u) with it, projects back through v.T, preconditions,
-    and adds; it records one tape node. Returns the final state, same
-    shape as h.
+    The gate (w h) and the read-out weight v P are computed once; each
+    step gates silu(v u) with the gate, projects back through v P, and
+    adds; it records one tape node. Returns the final state, same shape
+    as h.
     """
     d = h.shape[-1]
     if params.inner_norm is not None:
         _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
-    if params.precond is not None:
-        _check_preconditioner_dim(params.precond, d)
+    v_out = params.v if params.precond is None else apply_preconditioner(params.v, params.precond)
     gate = matmul(h, swap_last2(params.w))  # (..., D_m), frozen
     x = h
     for _ in range(params.steps):
-        x = _mlp_step(x, gate, params)
+        x = _mlp_step(x, gate, v_out, params)
     return x
 
 
-def _mlp_step(x: Tensor, gate: Tensor, params: CemMlpParams) -> Tensor:
-    """x + eta * P (gate * silu(v u)) v as one tape node, in the composed
-    layer's arithmetic order up to the preconditioner's low-rank product."""
-    norm, precond = params.inner_norm, params.precond
+def _mlp_step(x: Tensor, gate: Tensor, v_out: Tensor, params: CemMlpParams) -> Tensor:
+    """x + eta * (gate * silu(v u)) v_out as one tape node, where v_out =
+    v P is the read-out weight cem_mlp folded (v itself without a
+    preconditioner). Without one this is the composed layer's arithmetic
+    order; with one, the composed layer preconditions the token rows."""
+    norm = params.inner_norm
     eta = params.eta.data if isinstance(params.eta, Tensor) else params.eta
-    parents = [x, gate, params.v]
+    parents = [x, gate, params.v, v_out]  # v_out is v without a preconditioner
     if norm is not None:
         parents.append(norm.gain)
-    if precond is not None:
-        parents += _preconditioner_tensors(precond)
     if isinstance(params.eta, Tensor):
         parents.append(params.eta)
 
-    xd, v = x.data, params.v.data
+    xd, v, v_o = x.data, params.v.data, v_out.data
     u, y, r = _normalised_state(xd, norm)
     a = u @ v.T
     if recording(parents):
@@ -718,9 +719,9 @@ def _mlp_step(x: Tensor, gate: Tensor, params: CemMlpParams) -> Tensor:
         z, s = silu_forward(a, out=a)
         m = np.multiply(z, gate.data, out=z)
         a = s = z = None
-    pre = m @ v
-    step = pre if precond is None else precondition(pre, precond)
-    out = step * eta
+    step = m @ v_o
+    # only a learnable eta's cotangent reads step; otherwise it becomes out
+    out = step * eta if isinstance(params.eta, Tensor) else np.multiply(step, eta, out=step)
     out += xd  # xd + step * eta: addition commutes exactly
 
     def vjp(c):
@@ -728,16 +729,13 @@ def _mlp_step(x: Tensor, gate: Tensor, params: CemMlpParams) -> Tensor:
         grads.add(x, c)
         if isinstance(params.eta, Tensor):
             grads.add(params.eta, np.sum(c * step))
-        g_pre = c * eta
-        if precond is not None:
-            g_pre, *g_factors = precondition_vjp(g_pre, pre, precond)
-            for t, g in zip(_preconditioner_tensors(precond), g_factors):
-                grads.add(t, g)
-        g_m = g_pre @ v.T
+        g_step = c * eta
+        g_m = g_step @ v_o.T
         grads.add(gate, g_m * z)
         g_m *= gate.data
         g_a = silu_vjp(g_m, a, s)
-        grads.add(params.v, _outer_rows(m, g_pre) + _outer_rows(g_a, u))
+        grads.add(v_out, _outer_rows(m, g_step))
+        grads.add(params.v, _outer_rows(g_a, u))
         g_u = g_a @ v
         _add_state_cotangent(grads, x, g_u, norm, y, r)
         return grads.ordered(parents)

@@ -3,6 +3,9 @@ command paths."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +230,23 @@ def test_cli_diverging_run_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("run failed")
     assert "Traceback" not in err
+
+
+def test_cli_diverging_run_prints_only_its_error(tmp_path):
+    # the run in its own interpreter, under numpy's default error state: the
+    # overflow on the way to the typed error must not warn ahead of it
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "lm-smoke", "out": str(tmp_path / "runs"),
+        "optim": {"lr": 1e30, "total_steps": 6, "batch_size": 2, "clip": 1e9},
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "energyformer.cli", "--spec", spec],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("run failed")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_cli_count_end_to_end(tmp_path, capsys):

@@ -9,6 +9,9 @@ keys' exact zeros) and every input's gradient to 1e-10, relative to
 that gradient's largest entry.
 """
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +21,9 @@ import composed_reference as ref
 from energyformer import layers as ly
 from energyformer import model as md
 from energyformer import verify as vf
-from energyformer.model import named_tensors
+from energyformer.model import named_parameters, named_tensors
 from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul, tsum
+from energyformer.train import lm_loss
 
 FWD_TOL = 1e-12
 GRAD_TOL = 1e-10
@@ -144,12 +148,13 @@ FULL = dict(inner_norm=True, learnable_eta=True, attn_precond="diag_lowrank",
             mlp_precond="diag_lowrank")
 
 
-def full_attention(steps=2):
-    return attention_params(5, kq_diag="shared", alibi=True, attn_steps=steps, **FULL)
+def full_attention(steps=2, precond="diag_lowrank"):
+    return attention_params(5, kq_diag="shared", alibi=True, attn_steps=steps,
+                            **{**FULL, "attn_precond": precond})
 
 
-def full_mlp(steps=2):
-    return mlp_params(6, mlp_steps=steps, **FULL)
+def full_mlp(steps=2, precond="diag_lowrank"):
+    return mlp_params(6, mlp_steps=steps, **{**FULL, "mlp_precond": precond})
 
 
 def _width(params):
@@ -201,16 +206,69 @@ def _recorded_ops(out: Tensor) -> int:
 def test_one_tape_node_per_recursion_step(steps):
     # besides the steps, only the frozen projections are recorded: for kv
     # a head-axis reshape of h, a transpose and one matmul over all heads,
-    # and a transpose and a matmul for the gate
+    # and a transpose and a matmul for the gate; preconditioners add one
+    # node per layer call, which folds them into the read-out weights
     for fn, params, frozen in (
-        (ly.cem_attention, full_attention(steps), 3),
-        (ly.cem_mlp, full_mlp(steps), 2),
+        (ly.cem_attention, full_attention(steps), 4),
+        (ly.cem_mlp, full_mlp(steps), 3),
+        (ly.cem_attention, full_attention(steps, precond="identity"), 3),
+        (ly.cem_mlp, full_mlp(steps, precond="identity"), 2),
     ):
         ht = Tensor(np.random.default_rng(8).normal(size=(2, 4, _width(params))))
         with Tape() as tape:
             tape.watch(ht, *named_tensors(params).values())
             out = fn(ht, params)
         assert _recorded_ops(out) == steps + frozen
+
+
+def lm_smoke(steps=2):
+    cfg = md.preset("lm-smoke")
+    block = dataclasses.replace(cfg.block, attn_steps=steps, mlp_steps=steps)
+    return md.build_model(dataclasses.replace(cfg, block=block), seed=0)
+
+
+def tape_step(model, windows):
+    with Tape() as tape:
+        tape.watch(*named_parameters(model).values())
+        tape.backward(lm_loss(model, windows))
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+def test_preconditioners_never_see_a_token_row(steps, monkeypatch):
+    # P is folded into the (D_r, D_h) = (16, 64) head weights and the
+    # (D_m, D_h) = (256, 64) MLP weight once per layer call: n_layers *
+    # (K + 1) = 10 calls a forward, and as many VJPs, whatever the steps
+    calls = {"precondition": [], "precondition_vjp": []}
+    for name, log in calls.items():
+        fn = getattr(ly, name)
+
+        def logged(*args, _fn=fn, _log=log):
+            _log.append([a.shape for a in args if isinstance(a, np.ndarray)])
+            return _fn(*args)
+
+        monkeypatch.setattr(ly, name, logged)
+    model = lm_smoke(steps)
+    rng = np.random.default_rng(3)
+    tape_step(model, rng.integers(0, 256, size=(8, 65)))
+    assert [len(log) for log in calls.values()] == [10, 10]
+    lm_loss(model, rng.integers(0, 256, size=(2, LONG + 1)))  # tape off, three tiles
+    assert [len(log) for log in calls.values()] == [20, 10]
+    shapes = {shape for log in calls.values() for call in log for shape in call}
+    assert shapes == {(16, 64), (256, 64)}
+
+
+def test_lm_smoke_training_step_peak_memory():
+    # 45.9 MB; keeping each head's (8, 64, 64) preconditioner input for the
+    # attention VJP, and each step's update apart from its output, took 52.7
+    model = lm_smoke()
+    windows = np.random.default_rng(4).integers(0, 256, size=(8, 65))
+    tracemalloc.start()
+    try:
+        tape_step(model, windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def test_fused_steps_raise_dimension_errors():
