@@ -465,7 +465,8 @@ def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
     for name, cfg in count_models(opts["models"]).items():
         params = count_parameters_config(cfg)
         flops = count_flops(cfg, seq_len=opts["seq_len"])
-        table[name] = {"params": params, "flops_per_token": flops["per_token"]}
+        table[name] = {"params": params, "flops_per_token": flops["per_token"],
+                       "precond_flops_per_call": flops["precond_per_call"]}
         rows.append([name, params["total"], params["attention_core"],
                      params["mlp_core"], flops["per_token"]])
         print(f"{name}: total={params['total']:,} attention_core={params['attention_core']:,} "

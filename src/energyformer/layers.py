@@ -124,8 +124,12 @@ class RmsNormParams:
 
 
 def rms_forward(x: np.ndarray, gain: np.ndarray, eps: float):
-    """(y * gain, y, r) with r = 1/sqrt(mean(x^2) + eps) per row, y = x * r."""
-    r = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
+    """(y * gain, y, r) with r = 1/sqrt(mean(x^2) + eps) per row, y = x * r;
+    a row whose mean square is not finite raises DomainError, not zeros."""
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(ms)):
+        raise DomainError("rms norm row has a non-finite mean square")
+    r = 1.0 / np.sqrt(ms + eps)
     y = x * r
     return y * gain, y, r
 

@@ -538,7 +538,8 @@ def load_checkpoint(path: str | Path) -> Model:
 #   rms norm of a length-D row: 4D + 2
 #   causal attention touches P = J(J+1)/2 (i, j<=i) pairs
 # Backward cost is out of scope; counts are per forward pass of one
-# sequence of length seq_len (regressors: seq_len independent rows).
+# sequence of length seq_len (regressors: seq_len independent rows),
+# except the preconditioner folds, once per layer call.
 
 
 def _flops_rmsnorm_rows(rows: int, d: int) -> int:
@@ -552,6 +553,10 @@ def _flops_softmax_causal(j: int) -> int:
 def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
     """Closed-form forward FLOPs per sequence, grouped like the counts.
 
+    precond_per_call is the recurrent layers' preconditioner folds into
+    their (K*D_r + D_m, D_h) read-out weight rows, once per layer call:
+    a forward over B sequences costs B * total + precond_per_call.
+
     Attention counts the J(J+1)/2 causal (i, j <= i) pairs. The code
     computes more: reference_mha runs all J^2 pairs, and cem_attention,
     whose query tiles of B = layers.QUERY_TILE rows each see the keys up
@@ -564,7 +569,7 @@ def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
     j = seq_len
     pairs = j * (j + 1) // 2
 
-    attn = 0
+    attn = fold = 0  # fold: P into read-out weight rows, once per layer call
     norms_block = _flops_rmsnorm_rows(j, d)  # mlp_norm
     if b.attention != "none":
         norms_block += _flops_rmsnorm_rows(j, d)  # attn_norm
@@ -581,6 +586,7 @@ def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
             attn = k * per_head + (k - 1) * j * d + j * d  # head sum + residual
         else:
             out_of_loop = k * 2 * j * d_r * d  # tied kv projection, once
+            fold = k * _flops_precond_rows(b.attn_precond, b.attn_precond_rank, d_r, d)
             per_step = 0
             if b.inner_norm:
                 per_step += _flops_rmsnorm_rows(j, d)
@@ -594,7 +600,6 @@ def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
                 + _flops_softmax_causal(j)
                 + 2 * pairs * d_r        # value mix
                 + 2 * j * d_r * d        # output-side projection
-                + _flops_precond_rows(b.attn_precond, b.attn_precond_rank, j, d)
             )
             if b.kq_diag == "per-head":
                 per_head += j * d + 2 * pairs * d
@@ -611,6 +616,7 @@ def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
         mlp = 4 * j * d_m * d + 2 * j * d_m + j * d
     else:
         out_of_loop = 2 * j * d_m * d  # frozen gate projection
+        fold += _flops_precond_rows(b.mlp_precond, b.mlp_precond_rank, d_m, d)
         per_step = 0
         if b.inner_norm:
             per_step += _flops_rmsnorm_rows(j, d)
@@ -619,7 +625,6 @@ def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
             + 2 * j * d_m     # silu
             + j * d_m         # gate multiply
             + 2 * j * d_m * d # tied down-projection
-            + _flops_precond_rows(b.mlp_precond, b.mlp_precond_rank, j, d)
             + 2 * j * d       # eta scale + state add
         )
         # displacement wiring: subtract initial state, add to stream
@@ -645,6 +650,7 @@ def count_flops(cfg: ModelConfig, seq_len: int) -> dict[str, int]:
         "head": head,
         "total": total,
         "per_token": total // j,
+        "precond_per_call": cfg.n_layers * cfg.reuse * fold,
     }
 
 
@@ -654,7 +660,7 @@ def _flops_precond_rows(kind: str, rank: int, rows: int, d: int) -> int:
     diag = 2 * d + rows * d  # softplus(scale*p) once, then row-wise multiply
     if kind == "diagonal":
         return diag
-    return diag + 8 * rows * d * rank + 2 * rows * d  # two symmetric low-rank halves
+    return diag + 8 * rows * d * rank + rows * d  # (g [u|v]) [v|u]^T, then add
 
 
 # ---------------------------------------------------------------------------

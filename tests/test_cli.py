@@ -249,6 +249,16 @@ def test_cli_diverging_run_prints_only_its_error(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_cli_diverging_gp_run_exits_1(tmp_path, capsys):
+    # the normalised stream overflows well before the loss does
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "gp-regression", "out": str(tmp_path / "runs"),
+        "optim": {"lr": 1e30, "total_steps": 20, "clip": 1e9},
+    })
+    assert main(["--spec", spec]) == 1
+    assert capsys.readouterr().err.startswith("run failed")
+
+
 def test_cli_count_end_to_end(tmp_path, capsys):
     spec = _write_spec(tmp_path, {
         "version": 1, "task": "count", "out": str(tmp_path / "runs"),

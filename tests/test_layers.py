@@ -54,6 +54,12 @@ def test_rmsnorm_eps_positive_required():
         ly.RmsNormParams(gain=Tensor(np.ones(4)), eps=0.0)
 
 
+def test_rmsnorm_overflowed_row_raises():
+    # x * x overflows to inf, which would normalise the row to zeros
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+        ly.rmsnorm(Tensor(np.full((1, 4), 1e200)), ly.RmsNormParams(gain=Tensor(np.ones(4))))
+
+
 def test_rmsnorm_grad_matches_fd():
     rng = np.random.default_rng(2)
     x0 = rng.normal(size=(3, 6))

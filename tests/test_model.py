@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import composed_reference as ref
-from energyformer import serialize, verify
+from energyformer import layers, serialize, verify
 from energyformer.layers import QUERY_TILE
 from energyformer.model import (
     BlockConfig,
@@ -385,6 +385,7 @@ def test_flops_mlp_only_regressor_hand_derived():
         "head": 2 * 4 * 8 * 1 + 4 * 1,
         "total": 4308,
         "per_token": 1077,
+        "precond_per_call": 0,
     }
     assert sum(expected[k] for k in ("embedding", "attention", "mlp", "norms", "head")) == 4308
     assert count_flops(cfg, seq_len=4) == expected
@@ -422,6 +423,7 @@ def test_flops_reference_lm_hand_derived():
         "head": 2 * 4 * 8 * 11,
         "total": 13040,
         "per_token": 3260,
+        "precond_per_call": 0,
     }
     assert 2 * attn + 2 * mlp + 5 * rms + 704 == 13040
     assert count_flops(cfg, seq_len=4) == expected
@@ -430,7 +432,8 @@ def test_flops_reference_lm_hand_derived():
 def test_flops_recurrent_lm_hand_derived():
     # same dims, both sublayers recurrent at two steps each, shared
     # key-query diagonal, alibi, diag plus rank-2/rank-4 preconditioners,
-    # inner norms on. 4 tokens, 10 causal pairs.
+    # inner norms on. 4 tokens, 10 causal pairs. The preconditioners are
+    # folded into weight rows once per call, outside the per-token terms.
     cfg = ModelConfig(
         kind="lm",
         vocab_size=11,
@@ -462,15 +465,13 @@ def test_flops_recurrent_lm_hand_derived():
         + 4 * pairs                 # softmax
         + 2 * pairs * 4             # mix
         + 2 * 4 * 4 * 8             # output-side projection
-        + (2 * 8 + 4 * 8)           # diagonal preconditioner
-        + 8 * 4 * 8 * 2 + 2 * 4 * 8 # low-rank halves
         + pairs                     # diagonal logit term
     )
-    assert per_head == 1366
+    assert per_head == 742
     per_step = rms + diag_shared + 2 * per_head + 1 * 4 * 8 + 2 * 4 * 8
-    assert per_step == 3156
+    assert per_step == 1908
     attn = kv + 2 * per_step + 2 * 4 * 8        # + displacement wiring
-    assert attn == 6888
+    assert attn == 4392
     gate = 2 * 4 * 16 * 8
     m_step = (
         rms
@@ -478,21 +479,25 @@ def test_flops_recurrent_lm_hand_derived():
         + 2 * 4 * 16                # silu
         + 4 * 16                    # gate product
         + 2 * 4 * 16 * 8            # down
-        + (2 * 8 + 4 * 8)           # diagonal preconditioner
-        + 8 * 4 * 8 * 4 + 2 * 4 * 8 # low-rank halves
         + 2 * 4 * 8                 # step scale + state add
     )
-    assert m_step == 3576
+    assert m_step == 2440
     mlp = gate + 2 * m_step + 2 * 4 * 8
-    assert mlp == 8240
+    assert mlp == 5968
+    # per call, on rows of width 8: softplus(scale p) (2*8), the diagonal
+    # scale (rows*8), (g [u|v]) [v|u]^T (8*rows*8*rank) and its add (rows*8)
+    heads_fold = 2 * (2 * 8 + 4 * 8 + 8 * 4 * 8 * 2 + 4 * 8)  # 2 heads of 4 rows
+    mlp_fold = 2 * 8 + 16 * 8 + 8 * 16 * 8 * 4 + 16 * 8       # 16 rows
+    assert heads_fold + mlp_fold == 5552
     expected = {
         "embedding": 0,
         "attention": attn,
         "mlp": mlp,
         "norms": 2 * rms + rms,
         "head": 2 * 4 * 8 * 11,
-        "total": 16240,
-        "per_token": 4060,
+        "total": 11472,
+        "per_token": 2868,
+        "precond_per_call": 5552,
     }
     assert count_flops(cfg, seq_len=4) == expected
 
@@ -528,6 +533,41 @@ def test_flops_extra_machinery_costs_more():
         8,
     )["total"]
     assert kit > plain
+
+
+FOLDING = dict(
+    d_hidden=8, n_heads=2, d_mlp=16, attn_precond="diag_lowrank", attn_precond_rank=2,
+    mlp_precond="diagonal", inner_norm=True, alibi=True, kq_diag="shared",
+)
+
+
+def test_flops_per_sequence_leave_the_folds_out():
+    identity = BlockConfig(**{**FOLDING, "attn_precond": "identity", "mlp_precond": "identity"})
+    plain, folded = (count_flops(ModelConfig(block=b), 8) for b in (identity, BlockConfig(**FOLDING)))
+    assert plain["precond_per_call"] == 0 < folded["precond_per_call"]
+    del plain["precond_per_call"], folded["precond_per_call"]
+    assert plain == folded
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_flops_fold_count_matches_the_rows_precondition_sees(batch, monkeypatch):
+    # each call's cost from its own shapes, under count_flops' convention:
+    # softplus(scale p) (2d), the diagonal scale (rows d) and, with low-rank
+    # factors, (g [u|v]) [v|u]^T (8 rows d rank) and its add (rows d)
+    tally = []
+
+    def counted(g, params, _fn=layers.precondition):
+        rows, d = g.shape
+        low_rank = 0 if params.u is None else 8 * rows * d * params.u.shape[1] + rows * d
+        tally.append(2 * d + rows * d + low_rank)
+        return _fn(g, params)
+
+    monkeypatch.setattr(layers, "precondition", counted)
+    cfg = ModelConfig(kind="lm", vocab_size=11, n_layers=2, reuse=2, block=BlockConfig(**FOLDING))
+    model = build_model(cfg, seed=0)
+    forward(model, np.random.default_rng(0).integers(0, 11, size=(batch, 5)))
+    assert len(tally) == 2 * 2 * (2 + 1)  # layer calls x (K heads + the MLP)
+    assert sum(tally) == count_flops(cfg, 5)["precond_per_call"]
 
 
 # ---------------------------------------------------------------------------

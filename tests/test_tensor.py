@@ -1,6 +1,11 @@
 """Tensor core: forward semantics, backward rules against finite differences."""
 
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -496,3 +501,33 @@ def test_clip_post_norm_bounded():
 def test_global_norm_concatenation_semantics():
     g = {"a": np.array([3.0]), "b": np.array([4.0])}
     assert global_norm(g) == 5.0
+
+
+# ---------------------------------------------------------------------------
+# process allocator policy
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from energyformer import model as md, train as tr
+model = md.build_model(md.preset("lm-smoke"), seed=0)
+windows = np.random.default_rng(0).integers(0, 256, size=(4, 257))
+for _ in range(2):
+    tr.lm_eval(model, windows, batch_size=4)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    tr.lm_eval(model, windows, batch_size=4)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
+def test_tape_off_forward_does_not_fault_its_heap_back_in():
+    # a fresh interpreter: how much heap a process already holds decides
+    # whether glibc trims it. With its default policy each 4x256 forward
+    # faults about 7.5k pages back in after the last one's were returned
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
+    assert float(proc.stdout) < 500
