@@ -41,7 +41,10 @@ any number of leading batch axes, projection matrices are stored as
 one tensor: each projection is a (K, D_r, D_h) stack, applied to h
 reshaped to (..., 1, J, D_h) so that head projections come out as
 (..., K, J, D_r); the K/Q diagonal is (1, D_h) shared or (K, D_h), and
-the traced ALiBi bias is (K, J, J). Preconditioners stay one per head.
+the traced ALiBi bias is (K, J, J). The preconditioners are one stack
+too, p (K, D_h) with factors (K, D_h, rank), and both recurrent layers
+fold theirs through the same apply_preconditioner node: attention into
+its (K, D_r, D_h) read-out weights, the MLP into its (D_m, D_h) one.
 """
 
 from __future__ import annotations
@@ -80,13 +83,18 @@ def causal_mask(n: int, start: int = 0) -> np.ndarray:
     return np.triu(np.full((n - start, n), -np.inf), k=start + 1)
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    return a.reshape(-1, a.shape[-1])
+def _rows(a: np.ndarray, heads: tuple[int, ...] = ()) -> np.ndarray:
+    """a of shape (..., *heads, rows, n) as (*heads, R, n): each head's
+    rows over every leading axis."""
+    if heads:
+        a = np.moveaxis(a, range(a.ndim - len(heads) - 2), range(len(heads), a.ndim - 2))
+    return a.reshape(heads + (-1, a.shape[-1]))
 
 
-def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over rows r of outer(a_r, b_r): the weight cotangent of rows @ W."""
-    return _rows(a).T @ _rows(b)
+def _outer_rows(a: np.ndarray, b: np.ndarray, heads: tuple[int, ...] = ()) -> np.ndarray:
+    """Per head, the sum over rows r of outer(a_r, b_r): the weight
+    cotangent of rows @ W."""
+    return np.swapaxes(_rows(a, heads), -1, -2) @ _rows(b, heads)
 
 
 def _check_width(what: str, shape: tuple[int, ...], want: tuple[int, ...]) -> None:
@@ -222,14 +230,16 @@ class AlibiParams:
 
 @dataclass
 class PreconditionerParams:
-    """Symmetric positive-leaning preconditioner, never materialized.
+    """Symmetric positive-leaning preconditioners, never materialized.
 
-    Diagonal part diag(softplus(scale * p)) with dim = len(p) and scale =
+    p is (..., dim), and its leading axes, if any, stack one preconditioner
+    per head: attention holds a (K, D_h) stack, the MLP one (D_h,) row.
+    Each has the diagonal part diag(softplus(scale * p)) with scale =
     sqrt(dim); p is stored at O(1/sqrt(dim)) so the diagonal starts near
-    softplus(1). Given low-rank factors u, v of shape (dim, rank), it
+    softplus(1). Given low-rank factors u, v of shape (..., dim, rank), it
     adds u v.T + v u.T; v starts at zero so the map starts diagonal. The
-    recurrent layers apply it once per call to the rows of their (rows,
-    dim) read-out weights, not to token rows.
+    recurrent layers apply it once per call to the rows of their read-out
+    weights, not to token rows.
     """
 
     p: Tensor
@@ -237,73 +247,73 @@ class PreconditionerParams:
     v: Tensor | None = None
 
     def __post_init__(self):
-        if self.p.ndim != 1:
-            raise DimensionError(f"preconditioner needs p of shape (dim,), got {self.p.shape}")
+        if self.p.ndim < 1:
+            raise DimensionError("preconditioner needs p of shape (..., dim), got a scalar")
         if self.u is not None or self.v is not None:
             shapes = [None if t is None else t.shape for t in (self.u, self.v)]
-            if shapes[0] != shapes[1] or len(shapes[0]) != 2 or shapes[0][0] != self.dim:
+            if shapes[0] != shapes[1] or shapes[0][:-1] != self.p.shape:
                 raise DimensionError(
-                    f"low-rank factors u, v must both be (dim={self.dim}, rank), got {shapes}"
+                    f"low-rank factors u, v must both be {self.p.shape} + (rank,), got {shapes}"
                 )
 
     @property
     def dim(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
-
-def _check_preconditioner_dim(params: PreconditionerParams, dim: int) -> None:
-    if dim != params.dim:
-        raise DimensionError(
-            f"preconditioner dim {params.dim} does not match state dim {dim}"
-        )
+    @property
+    def heads(self) -> tuple[int, ...]:
+        return self.p.shape[:-1]
 
 
 def _lowrank_pair(params: PreconditionerParams) -> tuple[np.ndarray, np.ndarray]:
-    """([u | v], [v | u]): (g u) v.T + (g v) u.T is (g [u | v]) [v | u].T."""
+    """([u | v], [v | u].T): (g u) v.T + (g v) u.T is (g [u | v]) [v | u].T."""
     u, v = params.u.data, params.v.data
-    return np.concatenate([u, v], axis=1), np.concatenate([v, u], axis=1)
+    return np.concatenate([u, v], axis=-1), np.swapaxes(np.concatenate([v, u], axis=-1), -1, -2)
 
 
 def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
-    """P applied to rows of g without forming the (dim, dim) matrix.
+    """P applied to rows of g without forming any (dim, dim) matrix.
 
+    g is (..., *heads, rows, dim), each head's P acting on its own rows.
     The diagonal factor is softplus(sqrt(dim) p); the low-rank part is the
-    symmetric pair (g u) v.T + (g v) u.T, applied as one product.
+    symmetric pair (g u) v.T + (g v) u.T, applied as one batched product.
     """
-    out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))
+    out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))[..., None, :]
     if params.u is not None:
-        uv, vu = _lowrank_pair(params)
-        out += (g @ uv) @ vu.T
+        uv, vu_t = _lowrank_pair(params)
+        out += (g @ uv) @ vu_t
     return out
 
 
 def precondition_vjp(c: np.ndarray, g: np.ndarray, params: PreconditionerParams):
-    """Cotangents (g, p, u, v) of precondition at g; None for absent factors."""
+    """Cotangents (g, p, u, v) of precondition at g, each factor's summed
+    over the rows of its own head; None for absent factors."""
     scale = float(np.sqrt(params.dim))
     arg = params.p.data * scale
-    g_g = c * np.logaddexp(0.0, arg)
-    g_p = _rows(c * g).sum(axis=0) * sigmoid(arg) * scale
+    g_g = c * np.logaddexp(0.0, arg)[..., None, :]
+    g_p = _rows(c * g, params.heads).sum(axis=-2) * sigmoid(arg) * scale
     if params.u is None:
         return g_g, g_p, None, None
     # with uv = [u | v]: c uv = [cu | cv], g uv = [gu | gv], and
     # g_g += cv u^T + cu v^T, g_u = g^T cv + c^T gv, g_v = g^T cu + c^T gu
-    rank = params.u.shape[1]
-    uv, vu = _lowrank_pair(params)
+    rank = params.u.shape[-1]
+    uv, vu_t = _lowrank_pair(params)
     c_uv = c @ uv
-    g_g += c_uv @ vu.T
-    both = _outer_rows(g, c_uv) + _outer_rows(c, g @ uv)
-    return g_g, g_p, both[:, rank:], both[:, :rank]
-
-
-def _preconditioner_tensors(params: PreconditionerParams) -> tuple[Tensor, ...]:
-    """The traced factors in precondition_vjp order: p, then u and v if present."""
-    return tuple(t for t in (params.p, params.u, params.v) if t is not None)
+    g_g += c_uv @ vu_t
+    both = _outer_rows(g, c_uv, params.heads) + _outer_rows(c, g @ uv, params.heads)
+    return g_g, g_p, both[..., rank:], both[..., :rank]
 
 
 def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
-    """P applied to rows of a traced g, one tape node."""
-    _check_preconditioner_dim(params, g.shape[-1])
-    parents = (g, *_preconditioner_tensors(params))
+    """P applied to the (..., *heads, rows, dim) rows of a traced g, one
+    tape node."""
+    heads = params.heads
+    if (g.ndim < len(heads) + 2 or g.shape[-len(heads) - 2 : -2] != heads
+            or g.shape[-1] != params.dim):
+        raise DimensionError(
+            f"preconditioner of shape {params.p.shape} cannot act on rows of {g.shape}"
+        )
+    parents = (g, *(t for t in (params.p, params.u, params.v) if t is not None))
     return record(
         precondition(g.data, params),
         parents,
@@ -312,12 +322,13 @@ def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
 
 
 def materialize_preconditioner(params: PreconditionerParams) -> np.ndarray:
-    """Dense P for tests: diag(softplus(sqrt(dim) p)) + u v.T + v u.T."""
+    """Dense P for tests, (..., dim, dim): diag(softplus(sqrt(dim) p)) +
+    u v.T + v u.T."""
     scale = float(np.sqrt(params.dim))
-    mat = np.diag(np.logaddexp(0.0, scale * params.p.data))
+    mat = np.logaddexp(0.0, scale * params.p.data)[..., None] * np.eye(params.dim)
     if params.u is not None:
         u, v = params.u.data, params.v.data
-        mat = mat + u @ v.T + v @ u.T
+        mat = mat + u @ np.swapaxes(v, -1, -2) + v @ np.swapaxes(u, -1, -2)
     return mat
 
 
@@ -430,9 +441,9 @@ class CemAttentionParams:
     w_q doubles as the output projection (applied transposed) and w_k
     doubles as the value projection, so the parameter core is exactly
     half a reference attention layer. Both hold every head as one
-    (K, D_r, D_h) stack. diag optionally adds h_j D u_i coupling to the
-    logits, either one (1, D_h) row shared by all heads or a (K, D_h)
-    row per head.
+    (K, D_r, D_h) stack, and precond stacks one preconditioner per head.
+    diag optionally adds h_j D u_i coupling to the logits, either one
+    (1, D_h) row shared by all heads or a (K, D_h) row per head.
     """
 
     w_q: Tensor
@@ -441,7 +452,7 @@ class CemAttentionParams:
     steps: int = 1
     eta: Tensor | float = 1.0
     diag: Tensor | None = None
-    precond: tuple[PreconditionerParams, ...] | None = None
+    precond: PreconditionerParams | None = None
     alibi: AlibiParams | None = None
     inner_norm: RmsNormParams | None = None
 
@@ -454,8 +465,8 @@ class CemAttentionParams:
             raise DomainError("steps must be >= 1")
         if self.diag is not None and (self.diag.ndim != 2 or self.diag.shape[0] not in (1, n)):
             raise DimensionError("diag must be one (1, D_h) row total or a (K, D_h) row per head")
-        if self.precond is not None and len(self.precond) != n:
-            raise DimensionError("precond needs one entry per head")
+        if self.precond is not None and self.precond.heads != (n,):
+            raise DimensionError("precond needs a stack of one preconditioner per head")
 
     @property
     def n_heads(self) -> int:
@@ -479,28 +490,11 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
         _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
     tiles = _query_tiles(n, params.alibi)
     kv = matmul(_with_head_axis(h), swap_last2(params.w_k))  # (..., K, J, D_r)
-    w_out = params.w_q if params.precond is None else _precondition_heads(params.w_q, params.precond)
+    w_out = params.w_q if params.precond is None else apply_preconditioner(params.w_q, params.precond)
     x = h
     for _ in range(params.steps):
         x = _attention_step(x, h, kv, w_out, tiles, params)
     return x
-
-
-def _precondition_heads(w: Tensor, precond: tuple[PreconditionerParams, ...]) -> Tensor:
-    """P_k applied to the rows of each head's (D_r, D_h) weights w[k], one tape node."""
-    out = np.empty_like(w.data)
-    for k, pc in enumerate(precond):
-        _check_preconditioner_dim(pc, w.shape[2])
-        out[k] = precondition(w.data[k], pc)
-
-    def vjp(c):
-        g_w, g_factors = np.empty_like(w.data), []
-        for k, pc in enumerate(precond):
-            g_w[k], *g = precondition_vjp(c[k], w.data[k], pc)
-            g_factors += [t for t in g if t is not None]  # as _preconditioner_tensors
-        return (g_w, *g_factors)
-
-    return record(out, (w, *(t for pc in precond for t in _preconditioner_tensors(pc))), vjp)
 
 
 QUERY_TILE = 64  # query rows per attention tile; at J = 256, 32 ran no faster, 128 slower
@@ -529,7 +523,7 @@ def _query_tiles(n: int, alibi: AlibiParams | None) -> list[tuple[int, int, np.n
 def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
                     params: CemAttentionParams) -> Tensor:
     """x + eta * sum_k (softmax_k kv_k) w_out,k as one tape node, where
-    w_out,k = w_q,k P_k is the read-out weight _precondition_heads folded.
+    w_out,k = w_q,k P_k is the read-out weight cem_attention folded.
 
     Logits, softmax and read-out run tile by tile over the causal query
     tiles of _query_tiles, so the masked keys past a tile's last row are

@@ -212,11 +212,13 @@ def _gain(d: int) -> RmsNormParams:
     return RmsNormParams(gain=Tensor(np.ones(d)))
 
 
-def _init_precond(kind: str, d: int, rank: int, draw) -> PreconditionerParams:
-    p = Tensor(np.full(d, 1.0 / np.sqrt(d)))
+def _init_precond(kind: str, heads: tuple[int, ...], d: int, rank: int,
+                  draw) -> PreconditionerParams:
+    """A heads-shaped stack of width-d preconditioners; heads () for one."""
+    p = Tensor(np.full(heads + (d,), 1.0 / np.sqrt(d)))
     if kind == "diagonal":
         return PreconditionerParams(p=p)
-    return PreconditionerParams(p=p, u=draw(d, rank), v=Tensor(np.zeros((d, rank))))
+    return PreconditionerParams(p=p, u=draw(*heads, d, rank), v=Tensor(np.zeros(heads + (d, rank))))
 
 
 def _init_eta(value: float, learnable: bool) -> Tensor | float:
@@ -253,10 +255,7 @@ def init_block(cfg: BlockConfig, draw) -> Block:
                 diag = Tensor(np.zeros((1 if cfg.kq_diag == "shared" else k, d)))
             precond = None
             if cfg.attn_precond != "identity":
-                precond = tuple(
-                    _init_precond(cfg.attn_precond, d, cfg.attn_precond_rank, draw)
-                    for _ in range(k)
-                )
+                precond = _init_precond(cfg.attn_precond, (k,), d, cfg.attn_precond_rank, draw)
             attn = CemAttentionParams(
                 w_q=draw(k, d_r, d),
                 w_k=draw(k, d_r, d),
@@ -284,7 +283,7 @@ def init_block(cfg: BlockConfig, draw) -> Block:
             precond=(
                 None
                 if cfg.mlp_precond == "identity"
-                else _init_precond(cfg.mlp_precond, d, cfg.mlp_precond_rank, draw)
+                else _init_precond(cfg.mlp_precond, (), d, cfg.mlp_precond_rank, draw)
             ),
             inner_norm=_gain(d) if cfg.inner_norm else None,
         )

@@ -116,6 +116,8 @@ def load_tensors(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             name = bytes(reader.take(name_len, "name")).decode("utf-8")
         except UnicodeDecodeError as err:
             raise FormatError(f"tensor name at offset {reader.pos - name_len} is not utf-8") from err
+        if name in out:
+            raise FormatError(f"tensor name {name!r} appears twice")
         (ndim,) = reader.unpack("<B", f"rank of {name!r}")
         shape = reader.unpack(f"<{ndim}Q", f"shape of {name!r}")
         n = math.prod(shape)  # python ints: a garbled extent cannot wrap around

@@ -110,6 +110,13 @@ def head(t: Tensor, k: int) -> Tensor:
     return record(t.data[k], (t,), vjp)
 
 
+def head_preconditioner(params: PreconditionerParams, k: int) -> PreconditionerParams:
+    """Head k of a stacked preconditioner, traced back to the stack."""
+    return PreconditionerParams(
+        *(None if t is None else head(t, k) for t in (params.p, params.u, params.v))
+    )
+
+
 def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
     """x * gain / sqrt(mean(x^2) + eps) along the last axis."""
     ms = tmean(mul(x, x), axis=-1, keepdims=True)
@@ -171,7 +178,7 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
             p = softmax_lastdim(logits, mask=mask)
             delta = matmul(matmul(p, kv[k]), w_q)
             if params.precond is not None:
-                delta = apply_preconditioner(delta, params.precond[k])
+                delta = apply_preconditioner(delta, head_preconditioner(params.precond, k))
             upd = delta if upd is None else add(upd, delta)
         x = add(x, mul(upd, params.eta))
     return x

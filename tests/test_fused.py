@@ -2,11 +2,11 @@
 
 Each recursion step of cem_attention and cem_mlp is one tape node with a
 hand-written VJP; composed_reference.py keeps the same layers built from
-tape primitives. The forward must agree to 1e-12 absolute (the fused
-attention step folds 1/tau into its query weights where the composed
-layer scales the logits, and across tiles its read-out skips the masked
-keys' exact zeros) and every input's gradient to 1e-10, relative to
-that gradient's largest entry.
+tape primitives. The forward must agree to 1e-12 times the larger of 1
+and the output's largest entry (the fused attention step folds 1/tau
+into its query weights where the composed layer scales the logits, and
+across tiles its read-out skips the masked keys' exact zeros) and every
+input's gradient to 1e-10, relative to that gradient's largest entry.
 """
 
 import dataclasses
@@ -47,8 +47,9 @@ def mlp_params(seed, **fields):
     4 or 6 and d_mlp 8 or 10 drawn from seed, a rank-2 preconditioner.
 
     The MLP energy is unbounded below, so unnormalised steps can grow the
-    state geometrically: at step size 0.9, four of them reach 1e3 to 1e7
-    under these preconditioners, where rounding alone exceeds FWD_TOL."""
+    state geometrically: four of them at step size 0.2 take a few percent
+    of seeds past 1e3, where rounding alone exceeds an absolute 1e-12;
+    FWD_TOL scales with the output for that reason."""
     rng = np.random.default_rng(seed)
     cfg = dict(d_hidden=int(rng.choice([4, 6])), d_mlp=int(rng.choice([8, 10])),
                attention="none", mlp_eta=0.2, mlp_precond_rank=2)
@@ -70,7 +71,8 @@ def assert_matches_composed(fused_fn, composed_fn, params, h, seed):
     cotangent = np.random.default_rng(seed + 1).normal(size=h.shape)
     out, grads = run_with_grads(fused_fn, params, h, cotangent)
     want_out, want_grads = run_with_grads(composed_fn, params, h, cotangent)
-    assert np.max(np.abs(out - want_out)) <= FWD_TOL
+    fwd_scale = max(1.0, float(np.max(np.abs(want_out))))
+    assert np.max(np.abs(out - want_out)) <= FWD_TOL * fwd_scale
     for name, want in want_grads.items():
         scale = max(float(np.max(np.abs(want))), 1e-300)
         err = float(np.max(np.abs(grads[name] - want))) / scale
@@ -235,9 +237,9 @@ def tape_step(model, windows):
 
 @pytest.mark.parametrize("steps", [1, 4])
 def test_preconditioners_never_see_a_token_row(steps, monkeypatch):
-    # P is folded into the (D_r, D_h) = (16, 64) head weights and the
-    # (D_m, D_h) = (256, 64) MLP weight once per layer call: n_layers *
-    # (K + 1) = 10 calls a forward, and as many VJPs, whatever the steps
+    # P is folded into the (K, D_r, D_h) = (4, 16, 64) head weights and
+    # the (D_m, D_h) = (256, 64) MLP weight once per layer call: n_layers
+    # * 2 = 4 calls a forward, and as many VJPs, whatever the steps
     calls = {"precondition": [], "precondition_vjp": []}
     for name, log in calls.items():
         fn = getattr(ly, name)
@@ -250,11 +252,11 @@ def test_preconditioners_never_see_a_token_row(steps, monkeypatch):
     model = lm_smoke(steps)
     rng = np.random.default_rng(3)
     tape_step(model, rng.integers(0, 256, size=(8, 65)))
-    assert [len(log) for log in calls.values()] == [10, 10]
+    assert [len(log) for log in calls.values()] == [4, 4]
     lm_loss(model, rng.integers(0, 256, size=(2, LONG + 1)))  # tape off, three tiles
-    assert [len(log) for log in calls.values()] == [20, 10]
+    assert [len(log) for log in calls.values()] == [8, 4]
     shapes = {shape for log in calls.values() for call in log for shape in call}
-    assert shapes == {(16, 64), (256, 64)}
+    assert shapes == {(4, 16, 64), (256, 64)}
 
 
 def test_lm_smoke_training_step_peak_memory():
@@ -281,7 +283,7 @@ def test_fused_steps_raise_dimension_errors():
     with pytest.raises(DimensionError):
         ly.cem_mlp(Tensor(rng.normal(size=(3, d_m + 1))), mlp)
     # preconditioner width differs from the state
-    attn.precond = (mlp_params(9, d_hidden=d_a + 1, mlp_precond="diagonal").precond,) * attn.n_heads
+    attn.precond = ly.PreconditionerParams(p=Tensor(np.zeros((attn.n_heads, d_a + 1))))
     with pytest.raises(DimensionError):
         ly.cem_attention(Tensor(rng.normal(size=(3, d_a))), attn)
     mlp.precond = mlp_params(9, d_hidden=d_m + 1, mlp_precond="diag_lowrank").precond

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from energyformer import layers as ly
 from energyformer import energy as en
@@ -188,7 +190,7 @@ def test_random_block_moves_every_tensor_off_its_init():
     start = named_tensors(md.init_block(cfg, lambda *shape: Tensor(np.zeros(shape))))
     drawn = named_tensors(vf.random_block(cfg, 0))
     # among them the zero K/Q diagonal and v factors, unit gains, zero ALiBi offsets
-    assert {"attn.diag", "attn.precond.1.v", "attn.inner_norm.gain", "attn.alibi.b_self",
+    assert {"attn.diag", "attn.precond.v", "attn.inner_norm.gain", "attn.alibi.b_self",
             "mlp.precond.v", "mlp_norm.gain", "mlp.eta"} <= set(drawn) == set(start)
     for name, t in drawn.items():
         assert np.all(t.data != start[name].data), name
@@ -200,7 +202,8 @@ def test_random_block_follows_its_config(kq_diag, rows):
                          attn_precond="diag_lowrank", attn_precond_rank=2, learnable_eta=True)
     block = vf.random_block(cfg, 1)
     assert block.attn.diag.shape == (rows, 6)
-    assert [pc.dim for pc in block.attn.precond] == [6, 6, 6]
+    assert block.attn.precond.p.shape == (3, 6)  # one preconditioner per head
+    assert block.attn.precond.u.shape == block.attn.precond.v.shape == (3, 6, 2)
     assert named_tensors(block)["attn.eta"] is block.attn.eta  # a trained, traced leaf
 
 
@@ -344,7 +347,7 @@ def test_preconditioner_init_diagonal_near_softplus_one():
     from energyformer.model import _init_precond
 
     rng = np.random.default_rng(703)
-    pc = _init_precond("diag_lowrank", 16, 4, lambda *shape: Tensor(rng.normal(size=shape)))
+    pc = _init_precond("diag_lowrank", (), 16, 4, lambda *shape: Tensor(rng.normal(size=shape)))
     mat = ly.materialize_preconditioner(pc)
     # v starts at zero, so the map starts diagonal at softplus(1)
     npt.assert_allclose(np.diag(mat), np.full(16, np.logaddexp(0.0, 1.0)), rtol=1e-12)
@@ -358,7 +361,7 @@ def test_preconditioner_low_rank_factors_come_in_pairs():
         with pytest.raises(DimensionError):
             ly.PreconditionerParams(p=p, **kwargs)
     with pytest.raises(DimensionError):
-        ly.PreconditionerParams(p=Tensor(np.zeros((4, 1))))
+        ly.PreconditionerParams(p=Tensor(np.zeros(())))
     # given factors are always applied
     pc = ly.PreconditionerParams(p=p, u=u, v=Tensor(rng.normal(size=(4, 2))))
     g = rng.normal(size=(3, 4))
@@ -366,10 +369,55 @@ def test_preconditioner_low_rank_factors_come_in_pairs():
                         rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(("diagonal", "diag_lowrank")),
+    lead=st.sampled_from(((), (2,), (2, 3))),
+)
+def test_stacked_preconditioner_acts_per_head(seed, kind, lead):
+    # a (K, dim) stack on (..., K, rows, dim): each head's slice is exactly
+    # precondition of that slice with that head's factors, and the one
+    # node's VJP for g, p, u and v matches finite differences
+    rng = np.random.default_rng(seed)
+    k, rows, d = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+    cfg = md.BlockConfig(d_hidden=d, n_heads=k, d_head=2, d_mlp=8, attn_precond=kind,
+                         attn_precond_rank=2)
+    pc = vf.random_block(cfg, seed).attn.precond
+    factors = named_tensors(pc)  # p, and u and v for diag_lowrank
+    g0 = rng.normal(size=lead + (k, rows, d))
+    c = rng.normal(size=g0.shape)
+    g = Tensor(g0)
+    with Tape() as tape:
+        tape.watch(g, *factors.values())
+        out = ly.apply_preconditioner(g, pc)
+        grads = tape.backward(tt.tsum(tt.mul(out, Tensor(c))))
+    for i in range(k):
+        one = ly.PreconditionerParams(**{n: Tensor(t.data[i]) for n, t in factors.items()})
+        assert np.array_equal(out.data[..., i, :, :], ly.precondition(g0[..., i, :, :], one))
+    assert ly.materialize_preconditioner(pc).shape == (k, d, d)
+
+    def loss(g_data, name=None, value=None):
+        params = ly.PreconditionerParams(
+            **{n: Tensor(value if n == name else t.data) for n, t in factors.items()}
+        )
+        return float(np.sum(ly.precondition(g_data, params) * c))
+
+    assert rel_error(vf.finite_diff_grad(loss, g0), grads[g].data) <= 1e-5
+    for name, t in factors.items():
+        fd = vf.finite_diff_grad(lambda a, name=name: loss(g0, name, a), t.data)
+        assert rel_error(fd, grads[t].data) <= 1e-5, name
+
+
 def test_preconditioner_dim_mismatch():
     pc = random_precond(4, "diagonal", 0)
     with pytest.raises(DimensionError):
         ly.apply_preconditioner(Tensor(np.zeros((2, 5))), pc)
+    # a stack of 3 needs its rows under a head axis of 3
+    stack = ly.PreconditionerParams(p=Tensor(np.zeros((3, 4))))
+    for rows in ((2, 2, 4), (3, 4)):
+        with pytest.raises(DimensionError):
+            ly.apply_preconditioner(Tensor(np.zeros(rows)), stack)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +558,7 @@ def test_layer_param_validation():
     with pytest.raises(DimensionError):
         ly.CemAttentionParams(
             w_q=t2, w_k=t2, tau=1.0,
-            precond=(random_precond(4, "diagonal", 0),),
+            precond=random_precond(4, "diagonal", 0),  # one, not a stack of two
         )
     with pytest.raises(DimensionError):
         ly.CemMlpParams(w=Tensor(np.zeros((3, 4))), v=Tensor(np.zeros((4, 3))))

@@ -166,7 +166,7 @@ def test_parameter_group_paths():
     assert parameter_group("blocks.0.attn.diag") == "attention"
     assert parameter_group("blocks.0.attn.eta") == "attention"
     assert parameter_group("blocks.0.attn.alibi.b_self") == "attention"
-    assert parameter_group("blocks.0.attn.precond.1.u") == "preconditioners"
+    assert parameter_group("blocks.0.attn.precond.u") == "preconditioners"
     assert parameter_group("blocks.0.mlp.precond.p") == "preconditioners"
     assert parameter_group("blocks.0.attn.inner_norm.gain") == "norms"
     assert parameter_group("blocks.0.attn_norm.gain") == "norms"
@@ -187,7 +187,7 @@ def test_is_core_paths():
     assert not is_core("blocks.0.attn.diag")
     assert not is_core("blocks.0.attn.w_q.0")  # per-head names are gone
     assert not is_core("blocks.0.attn.alibi.b_self")
-    assert not is_core("blocks.0.attn.precond.0.v")
+    assert not is_core("blocks.0.attn.precond.v")
     assert not is_core("blocks.0.attn.inner_norm.gain")
 
 
@@ -551,22 +551,23 @@ def test_flops_per_sequence_leave_the_folds_out():
 
 @pytest.mark.parametrize("batch", [1, 3])
 def test_flops_fold_count_matches_the_rows_precondition_sees(batch, monkeypatch):
-    # each call's cost from its own shapes, under count_flops' convention:
-    # softplus(scale p) (2d), the diagonal scale (rows d) and, with low-rank
-    # factors, (g [u|v]) [v|u]^T (8 rows d rank) and its add (rows d)
+    # each call's cost from its own shapes, per head of a stack, under
+    # count_flops' convention: softplus(scale p) (2d), the diagonal scale
+    # (rows d) and, with low-rank factors, (g [u|v]) [v|u]^T (8 rows d
+    # rank) and its add (rows d)
     tally = []
 
     def counted(g, params, _fn=layers.precondition):
-        rows, d = g.shape
-        low_rank = 0 if params.u is None else 8 * rows * d * params.u.shape[1] + rows * d
-        tally.append(2 * d + rows * d + low_rank)
+        *heads, rows, d = g.shape
+        low_rank = 0 if params.u is None else 8 * rows * d * params.u.shape[-1] + rows * d
+        tally.append(int(np.prod(heads)) * (2 * d + rows * d + low_rank))
         return _fn(g, params)
 
     monkeypatch.setattr(layers, "precondition", counted)
     cfg = ModelConfig(kind="lm", vocab_size=11, n_layers=2, reuse=2, block=BlockConfig(**FOLDING))
     model = build_model(cfg, seed=0)
     forward(model, np.random.default_rng(0).integers(0, 11, size=(batch, 5)))
-    assert len(tally) == 2 * 2 * (2 + 1)  # layer calls x (K heads + the MLP)
+    assert len(tally) == 2 * 2 * 2  # layer calls x (the head stack + the MLP)
     assert sum(tally) == count_flops(cfg, 5)["precond_per_call"]
 
 
@@ -819,19 +820,30 @@ def test_checkpoint_missing_tensor_rejected(tmp_path):
 
 def test_checkpoint_with_per_head_names_rejected(tmp_path):
     # containers written before heads were stacked hold one tensor per
-    # head (blocks.0.attn.w_q.0, ...); they must fail loudly, not load
-    cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16))
+    # head (blocks.0.attn.w_q.0, ...), and before the preconditioners were,
+    # one set of factors per head (blocks.0.attn.precond.0.p, ...); they
+    # must fail loudly, not load
+    cfg = ModelConfig(block=BlockConfig(d_hidden=8, n_heads=2, d_mlp=16,
+                                        attn_precond="diag_lowrank", mlp_precond="diagonal"))
     model = build_model(cfg, seed=0)
     path = tmp_path / "model.bin"
-    per_head = {}
-    for name, t in named_parameters(model).items():
-        if name.endswith((".w_q", ".w_k")):
-            per_head.update({f"{name}.{k}": w for k, w in enumerate(t.data)})
-        else:
-            per_head[name] = t.data
-    serialize.save_tensors(path, per_head, cfg.to_dict())
-    with pytest.raises(ConfigError, match="attn.w_k"):
-        load_checkpoint(path)
+    for stacked, head_name, missing in (
+        ((".w_q", ".w_k"), "{scope}.{leaf}.{k}", "attn.w_k"),
+        ((".attn.precond.p", ".attn.precond.u", ".attn.precond.v"), "{scope}.{k}.{leaf}",
+         "attn.precond.p"),
+    ):
+        per_head = {}
+        for name, t in named_parameters(model).items():
+            scope, _, leaf = name.rpartition(".")
+            if name.endswith(stacked):
+                per_head.update({head_name.format(scope=scope, leaf=leaf, k=k): w
+                                 for k, w in enumerate(t.data)})
+            else:
+                per_head[name] = t.data
+        assert "blocks.0.mlp.precond.p" in per_head  # one MLP preconditioner, no heads
+        serialize.save_tensors(path, per_head, cfg.to_dict())
+        with pytest.raises(ConfigError, match=missing):
+            load_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_garbled_name_and_extent_raise_format_error(tmp_path):
             serialize.load_tensors(path)
 
 
+def test_repeated_name_raises_format_error(tmp_path):
+    # a later record under an earlier name must not replace it silently
+    path = tmp_path / "t.bin"
+    serialize.save_tensors(path, {"a": np.ones(1), "b": np.ones(1)}, {})
+    raw = path.read_bytes()
+    assert raw.count(b"\x01\x00b") == 1  # the second record's name length and name
+    path.write_bytes(raw.replace(b"\x01\x00b", b"\x01\x00a"))
+    with pytest.raises(serialize.FormatError, match="'a' appears twice"):
+        serialize.load_tensors(path)
+
+
 # ---------------------------------------------------------------------------
 # crash-safe writes
 

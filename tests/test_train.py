@@ -136,7 +136,7 @@ def test_decay_shrinks_only_matrices():
 def test_wants_decay_rules():
     assert wants_decay("embed", Tensor(np.zeros((4, 4))))
     assert wants_decay("blocks.0.attn.w_q", Tensor(np.zeros((2, 4, 4))))
-    assert not wants_decay("blocks.0.attn.precond.0.u", Tensor(np.zeros((4, 2))))
+    assert not wants_decay("blocks.0.attn.precond.u", Tensor(np.zeros((2, 4, 2))))
     assert not wants_decay("blocks.0.mlp_norm.gain", Tensor(np.zeros(4)))
     assert not wants_decay("head_b", Tensor(np.zeros(4)))
     assert not wants_decay("blocks.0.attn.alibi.b_self", Tensor(0.0))
