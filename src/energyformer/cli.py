@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -64,7 +63,6 @@ class SpecError(ValueError):
 
 
 SPEC_VERSION = 1
-OUT_ROOT_ENV = "ENERGYFORMER_OUT"
 
 GP_VARIANTS = ("plain", "gated", "cem-t1", "cem-t2")
 GP_KERNEL_SCALES = {f.name: f.default for f in dataclasses.fields(GpKernelSpec) if f.name != "kind"}
@@ -246,8 +244,7 @@ def spec_hash(spec: ExperimentSpec) -> str:
 
 
 def task_dir_for(spec: ExperimentSpec) -> Path:
-    root = spec.out or os.environ.get(OUT_ROOT_ENV, "runs")
-    return Path(root) / f"{spec.task}-{spec_hash(spec)}"
+    return Path(spec.out or "runs") / f"{spec.task}-{spec_hash(spec)}"
 
 
 def _write_csv(path: Path, header: list, rows: list) -> None:
@@ -636,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="path to the experiment spec JSON")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a spec field by dotted path (value parsed as JSON)")
-    parser.add_argument("--out", help="output root directory (overrides spec and env)")
+    parser.add_argument("--out", help="output root directory (overrides the spec's out; default runs)")
     parser.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
     parser.add_argument("--jobs", type=int, default=1,
                         help="process fan-out across seeds (gp-regression only)")

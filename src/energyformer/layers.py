@@ -12,13 +12,14 @@ tied-equivalence oracles. The recurrent layers are not: each recursion
 step (inner norm, projections, logits, softmax or silu read-out, eta)
 runs as plain numpy over all heads and records one tape node with a
 hand-written VJP. Each layer call first records the frozen context
-projections (kv = h W_k^T for all heads at once, gate = h W^T) and one
-node that folds the token-independent, symmetric preconditioner into
-the read-out weights: P applied to every row of read @ W is read @ (W P).
-The RMS norm and the preconditioner are numpy forward/VJP pairs shared
-by the fused steps and by their own one-node primitives. The composed
-form of the recurrent layers, which preconditions token rows, is kept
-under tests/ as their reference.
+projections (kv = h W_k^T for all heads at once, gate = h W^T) and the
+fold of the token-independent, symmetric preconditioner into the
+read-out weights: P applied to every row of read @ W is read @ (W P).
+The fold runs once per layer call on weights, not tokens, so it is
+composed from tape primitives and has no VJP of its own. The RMS norm
+is a numpy forward/VJP pair shared by the fused steps and by its own
+one-node primitive. The composed form of the recurrent layers, which
+preconditions token rows, is kept under tests/ as their reference.
 
 The recurrent attention step walks causal query tiles of QUERY_TILE
 rows: tile [s0, s1) builds its logits, softmax and read-out against keys
@@ -32,8 +33,7 @@ so even at one tile the two agree to rounding rather than bit for bit.
 The reference attention stays dense: it is the oracle.
 
 Off the tape, the MLP step runs silu and the gate product in place in
-its up-projection. The preconditioner applies its low-rank pair as one
-product against [u | v].
+its up-projection.
 
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
@@ -43,8 +43,8 @@ reshaped to (..., 1, J, D_h) so that head projections come out as
 (..., K, J, D_r); the K/Q diagonal is (1, D_h) shared or (K, D_h), and
 the traced ALiBi bias is (K, J, J). The preconditioners are one stack
 too, p (K, D_h) with factors (K, D_h, rank), and both recurrent layers
-fold theirs through the same apply_preconditioner node: attention into
-its (K, D_r, D_h) read-out weights, the MLP into its (D_m, D_h) one.
+fold theirs through the same apply_preconditioner: attention into its
+(K, D_r, D_h) read-out weights, the MLP into its (D_m, D_h) one.
 """
 
 from __future__ import annotations
@@ -63,13 +63,13 @@ from .tensor import (
     record,
     recording,
     reshape,
-    sigmoid,
     silu,
     silu_forward,
     silu_vjp,
     softmax_forward,
     softmax_lastdim,
     softmax_vjp,
+    softplus,
     swap_last2,
     tsum,
 )
@@ -83,18 +83,15 @@ def causal_mask(n: int, start: int = 0) -> np.ndarray:
     return np.triu(np.full((n - start, n), -np.inf), k=start + 1)
 
 
-def _rows(a: np.ndarray, heads: tuple[int, ...] = ()) -> np.ndarray:
-    """a of shape (..., *heads, rows, n) as (*heads, R, n): each head's
-    rows over every leading axis."""
-    if heads:
-        a = np.moveaxis(a, range(a.ndim - len(heads) - 2), range(len(heads), a.ndim - 2))
-    return a.reshape(heads + (-1, a.shape[-1]))
+def _rows(a: np.ndarray) -> np.ndarray:
+    """a of shape (..., n) as (R, n): its rows over every leading axis."""
+    return a.reshape(-1, a.shape[-1])
 
 
-def _outer_rows(a: np.ndarray, b: np.ndarray, heads: tuple[int, ...] = ()) -> np.ndarray:
-    """Per head, the sum over rows r of outer(a_r, b_r): the weight
-    cotangent of rows @ W."""
-    return np.swapaxes(_rows(a, heads), -1, -2) @ _rows(b, heads)
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum over rows r of outer(a_r, b_r): the weight cotangent of
+    rows @ W."""
+    return _rows(a).T @ _rows(b)
 
 
 def _check_width(what: str, shape: tuple[int, ...], want: tuple[int, ...]) -> None:
@@ -265,60 +262,23 @@ class PreconditionerParams:
         return self.p.shape[:-1]
 
 
-def _lowrank_pair(params: PreconditionerParams) -> tuple[np.ndarray, np.ndarray]:
-    """([u | v], [v | u].T): (g u) v.T + (g v) u.T is (g [u | v]) [v | u].T."""
-    u, v = params.u.data, params.v.data
-    return np.concatenate([u, v], axis=-1), np.swapaxes(np.concatenate([v, u], axis=-1), -1, -2)
-
-
-def precondition(g: np.ndarray, params: PreconditionerParams) -> np.ndarray:
-    """P applied to rows of g without forming any (dim, dim) matrix.
-
-    g is (..., *heads, rows, dim), each head's P acting on its own rows.
-    The diagonal factor is softplus(sqrt(dim) p); the low-rank part is the
-    symmetric pair (g u) v.T + (g v) u.T, applied as one batched product.
-    """
-    out = g * np.logaddexp(0.0, params.p.data * float(np.sqrt(params.dim)))[..., None, :]
-    if params.u is not None:
-        uv, vu_t = _lowrank_pair(params)
-        out += (g @ uv) @ vu_t
-    return out
-
-
-def precondition_vjp(c: np.ndarray, g: np.ndarray, params: PreconditionerParams):
-    """Cotangents (g, p, u, v) of precondition at g, each factor's summed
-    over the rows of its own head; None for absent factors."""
-    scale = float(np.sqrt(params.dim))
-    arg = params.p.data * scale
-    g_g = c * np.logaddexp(0.0, arg)[..., None, :]
-    g_p = _rows(c * g, params.heads).sum(axis=-2) * sigmoid(arg) * scale
-    if params.u is None:
-        return g_g, g_p, None, None
-    # with uv = [u | v]: c uv = [cu | cv], g uv = [gu | gv], and
-    # g_g += cv u^T + cu v^T, g_u = g^T cv + c^T gv, g_v = g^T cu + c^T gu
-    rank = params.u.shape[-1]
-    uv, vu_t = _lowrank_pair(params)
-    c_uv = c @ uv
-    g_g += c_uv @ vu_t
-    both = _outer_rows(g, c_uv, params.heads) + _outer_rows(c, g @ uv, params.heads)
-    return g_g, g_p, both[..., rank:], both[..., :rank]
-
-
 def apply_preconditioner(g: Tensor, params: PreconditionerParams) -> Tensor:
-    """P applied to the (..., *heads, rows, dim) rows of a traced g, one
-    tape node."""
-    heads = params.heads
+    """P applied to the (..., *heads, rows, dim) rows of g, each head's P
+    to its own rows, in tape primitives and without a (dim, dim) matrix:
+    g * softplus(sqrt(dim) p) plus the symmetric pair (g u) v.T + (g v) u.T,
+    the factors' head axes broadcasting against g's."""
+    heads, dim = params.heads, params.dim
     if (g.ndim < len(heads) + 2 or g.shape[-len(heads) - 2 : -2] != heads
-            or g.shape[-1] != params.dim):
+            or g.shape[-1] != dim):
         raise DimensionError(
             f"preconditioner of shape {params.p.shape} cannot act on rows of {g.shape}"
         )
-    parents = (g, *(t for t in (params.p, params.u, params.v) if t is not None))
-    return record(
-        precondition(g.data, params),
-        parents,
-        lambda c: precondition_vjp(c, g.data, params)[: len(parents)],
-    )
+    diag = softplus(mul(reshape(params.p, heads + (1, dim)), float(np.sqrt(dim))))
+    out = mul(g, diag)
+    if params.u is not None:
+        out = add(out, matmul(matmul(g, params.u), swap_last2(params.v)))
+        out = add(out, matmul(matmul(g, params.v), swap_last2(params.u)))
+    return out
 
 
 def materialize_preconditioner(params: PreconditionerParams) -> np.ndarray:

@@ -659,7 +659,7 @@ def _flops_precond_rows(kind: str, rank: int, rows: int, d: int) -> int:
     diag = 2 * d + rows * d  # softplus(scale*p) once, then row-wise multiply
     if kind == "diagonal":
         return diag
-    return diag + 8 * rows * d * rank + rows * d  # (g [u|v]) [v|u]^T, then add
+    return diag + 8 * rows * d * rank + 2 * rows * d  # (g u) v^T + (g v) u^T, two adds
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 A deliberately small op set: every primitive here has a hand-written
 backward rule. Most differentiable code in the package is composed from
-these; the exceptions are the fused layer primitives in layers.py
-(rmsnorm and one node per recurrent step) and the cross-entropy loss in
-model.py, which build their own nodes through record() from numpy
-forward/VJP helpers defined there and here (softmax, silu, sigmoid).
-Those helpers spare fresh arrays on the hot path: sigmoid is numpy-only
-and built in one array through out=, silu_forward can write its product
-over its input, and softmax_forward works in place on an array its
-caller no longer needs. Gradients are exact up to float64 rounding; no
-numerical differentiation happens outside the verification oracles.
+these, the preconditioner fold included; the exceptions are the fused
+layer primitives in layers.py (rmsnorm and one node per recurrent step)
+and the cross-entropy loss in model.py, which build their own nodes
+through record() from numpy forward/VJP helpers defined there and here
+(softmax, silu, sigmoid). Those helpers spare fresh arrays on the hot
+path: sigmoid is numpy-only and built in one array through out=,
+silu_forward can write its product over its input, and softmax_forward
+works in place on an array its caller no longer needs. Gradients are
+exact up to float64 rounding; no numerical differentiation happens
+outside the verification oracles.
 
 Recording is explicit: ops only build graph nodes while a Tape is
 active on the current thread, so inference code pays no tracing cost.
@@ -272,9 +273,10 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a.data, b.data, "add")
     out = a.data + b.data
+    sa, sb = a.shape, b.shape  # the VJP keeps shapes, not the operands' data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return record(out, (a, b), vjp)
 
@@ -283,9 +285,10 @@ def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _check_broadcast(a.data, b.data, "sub")
     out = a.data - b.data
+    sa, sb = a.shape, b.shape  # the VJP keeps shapes, not the operands' data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return record(out, (a, b), vjp)
 
@@ -396,6 +399,13 @@ def silu(a) -> Tensor:
     return record(out, (a,), vjp)
 
 
+def softplus(a) -> Tensor:
+    """log(1 + e^x), computed stably; softplus(0) = log 2. Its derivative
+    is sigmoid(x), so both stay finite, and warning-free, at any finite x."""
+    a = _wrap(a)
+    return record(np.logaddexp(0.0, a.data), (a,), lambda g: (g * sigmoid(a.data),))
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -492,12 +502,18 @@ def gather_rows(table, idx: np.ndarray) -> Tensor:
 
 
 def global_norm(grads) -> float:
-    """L2 norm over a dict or iterable of ndarrays, treated as one vector."""
+    """L2 norm over a dict or iterable of ndarrays, treated as one vector.
+    Finite entries too large to square (|g| above about 1e154) are divided
+    by the largest |g| first, so only a non-finite entry reads inf or NaN."""
     values = grads.values() if isinstance(grads, dict) else grads
+    arrays = [g.data if isinstance(g, Tensor) else np.asarray(g) for g in values]
     total = 0.0
-    for g in values:
-        arr = g.data if isinstance(g, Tensor) else np.asarray(g)
-        total += float(np.sum(arr * arr))
+    with np.errstate(over="ignore"):
+        for arr in arrays:
+            total += float(np.sum(arr * arr))
+    if np.isinf(total) and all(np.all(np.isfinite(arr)) for arr in arrays):
+        big = max(float(np.max(np.abs(arr), initial=0.0)) for arr in arrays)
+        return big * global_norm([arr / big for arr in arrays])
     return float(np.sqrt(total))
 
 
@@ -505,12 +521,13 @@ def clip_by_global_norm(grads: dict, max_norm: float):
     """Rescale a gradient dict so its global L2 norm is <= max_norm.
 
     Returns (clipped dict, pre-clip norm). A set already inside the
-    threshold is returned unscaled.
+    threshold, or with a non-finite norm (the optimizer rejects those),
+    is returned unscaled.
     """
     if max_norm <= 0.0:
         raise DomainError("max_norm must be positive")
     norm = global_norm(grads)
-    if norm <= max_norm:
+    if norm <= max_norm or not np.isfinite(norm):
         scale = 1.0
     else:
         scale = max_norm / norm

@@ -1,15 +1,15 @@
 """Composed-op reference for the fused recurrent layers and the loss.
 
 These are the recurrent attention and MLP layers, the RMS norm, the
-preconditioner and the cross-entropy loss as they stood before the
-package fused each into one tape node: every operation is a tape
-primitive, so their gradients come from the primitives' own backward
-rules, and heads are composed one at a time from slices of the stacked
-parameters. The fused forms in energyformer.layers and
-energyformer.model must reproduce them to rounding, forward and
-backward (see test_fused.py and test_model.py). The exp, log, neg,
-softplus, rsqrt and take_along_lastdim primitives live here because only
-these references and the primitive tests use them.
+preconditioner and the cross-entropy loss composed from tape primitives
+alone, so their gradients come from the primitives' own backward rules,
+and heads are composed one at a time from slices of the stacked
+parameters; the preconditioner acts on token rows. The fused forms in
+energyformer.layers and energyformer.model, and the package's weight
+fold of the preconditioner, must reproduce them to rounding, forward
+and backward (see test_fused.py and test_model.py). The exp, log, neg,
+rsqrt and take_along_lastdim primitives live here because only these
+references and the primitive tests use them.
 """
 
 import numpy as np
@@ -29,9 +29,9 @@ from energyformer.tensor import (
     matmul,
     mul,
     record,
-    sigmoid,
     silu,
     softmax_lastdim,
+    softplus,
     sub,
     swap_last2,
     tmean,
@@ -52,11 +52,6 @@ def log(a: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     return record(-a.data, (a,), lambda g: (-g,))
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed stably; softplus(0) = log 2."""
-    return record(np.logaddexp(0.0, a.data), (a,), lambda g: (g * sigmoid(a.data),))
 
 
 def rsqrt(a: Tensor) -> Tensor:

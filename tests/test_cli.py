@@ -276,6 +276,18 @@ def test_cli_count_end_to_end(tmp_path, capsys):
     assert (run_dirs[0] / "count.csv").exists()
 
 
+def test_cli_default_out_root_is_runs(tmp_path, monkeypatch):
+    # neither --out nor the spec's out: outputs land under ./runs
+    monkeypatch.chdir(tmp_path)
+    payload = {"version": 1, "task": "count",
+               "task_options": {"models": ["ref-86m", "cem-86m"], "seq_len": 8}}
+    assert main(["--spec", _write_spec(tmp_path, payload)]) == 0
+    want = Path("runs") / f"count-{spec_hash(ExperimentSpec.from_dict(payload))}"
+    assert task_dir_for(ExperimentSpec.from_dict(payload)) == want
+    assert [p.name for p in (tmp_path / "runs").iterdir()] == [want.name]
+    assert (tmp_path / want / "count.json").exists()
+
+
 def test_cli_count_named_inline_entries(tmp_path):
     spec = _write_spec(tmp_path, {
         "version": 1, "task": "count", "out": str(tmp_path / "runs"),

@@ -365,8 +365,8 @@ def test_preconditioner_low_rank_factors_come_in_pairs():
     # given factors are always applied
     pc = ly.PreconditionerParams(p=p, u=u, v=Tensor(rng.normal(size=(4, 2))))
     g = rng.normal(size=(3, 4))
-    npt.assert_allclose(ly.precondition(g, pc), g @ ly.materialize_preconditioner(pc),
-                        rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(ly.apply_preconditioner(Tensor(g), pc).data,
+                        g @ ly.materialize_preconditioner(pc), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -377,8 +377,8 @@ def test_preconditioner_low_rank_factors_come_in_pairs():
 )
 def test_stacked_preconditioner_acts_per_head(seed, kind, lead):
     # a (K, dim) stack on (..., K, rows, dim): each head's slice is exactly
-    # precondition of that slice with that head's factors, and the one
-    # node's VJP for g, p, u and v matches finite differences
+    # the fold of that slice with that head's factors, and the gradients
+    # for g, p, u and v match finite differences
     rng = np.random.default_rng(seed)
     k, rows, d = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
     cfg = md.BlockConfig(d_hidden=d, n_heads=k, d_head=2, d_mlp=8, attn_precond=kind,
@@ -394,14 +394,17 @@ def test_stacked_preconditioner_acts_per_head(seed, kind, lead):
         grads = tape.backward(tt.tsum(tt.mul(out, Tensor(c))))
     for i in range(k):
         one = ly.PreconditionerParams(**{n: Tensor(t.data[i]) for n, t in factors.items()})
-        assert np.array_equal(out.data[..., i, :, :], ly.precondition(g0[..., i, :, :], one))
-    assert ly.materialize_preconditioner(pc).shape == (k, d, d)
+        want = ly.apply_preconditioner(Tensor(g0[..., i, :, :]), one).data
+        assert np.array_equal(out.data[..., i, :, :], want)
+    dense = ly.materialize_preconditioner(pc)
+    assert dense.shape == (k, d, d)
+    npt.assert_allclose(out.data, g0 @ dense, rtol=0, atol=1e-12)
 
     def loss(g_data, name=None, value=None):
         params = ly.PreconditionerParams(
             **{n: Tensor(value if n == name else t.data) for n, t in factors.items()}
         )
-        return float(np.sum(ly.precondition(g_data, params) * c))
+        return float(np.sum(ly.apply_preconditioner(Tensor(g_data), params).data * c))
 
     assert rel_error(vf.finite_diff_grad(loss, g0), grads[g].data) <= 1e-5
     for name, t in factors.items():

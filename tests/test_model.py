@@ -485,10 +485,11 @@ def test_flops_recurrent_lm_hand_derived():
     mlp = gate + 2 * m_step + 2 * 4 * 8
     assert mlp == 5968
     # per call, on rows of width 8: softplus(scale p) (2*8), the diagonal
-    # scale (rows*8), (g [u|v]) [v|u]^T (8*rows*8*rank) and its add (rows*8)
-    heads_fold = 2 * (2 * 8 + 4 * 8 + 8 * 4 * 8 * 2 + 4 * 8)  # 2 heads of 4 rows
-    mlp_fold = 2 * 8 + 16 * 8 + 8 * 16 * 8 * 4 + 16 * 8       # 16 rows
-    assert heads_fold + mlp_fold == 5552
+    # scale (rows*8), (g u) v^T and (g v) u^T (four products, 8*rows*8*rank)
+    # and their two adds (2*rows*8)
+    heads_fold = 2 * (2 * 8 + 4 * 8 + 8 * 4 * 8 * 2 + 2 * 4 * 8)  # 2 heads of 4 rows
+    mlp_fold = 2 * 8 + 16 * 8 + 8 * 16 * 8 * 4 + 2 * 16 * 8       # 16 rows
+    assert heads_fold + mlp_fold == 5744
     expected = {
         "embedding": 0,
         "attention": attn,
@@ -497,7 +498,7 @@ def test_flops_recurrent_lm_hand_derived():
         "head": 2 * 4 * 8 * 11,
         "total": 11472,
         "per_token": 2868,
-        "precond_per_call": 5552,
+        "precond_per_call": 5744,
     }
     assert count_flops(cfg, seq_len=4) == expected
 
@@ -551,19 +552,19 @@ def test_flops_per_sequence_leave_the_folds_out():
 
 @pytest.mark.parametrize("batch", [1, 3])
 def test_flops_fold_count_matches_the_rows_precondition_sees(batch, monkeypatch):
-    # each call's cost from its own shapes, per head of a stack, under
-    # count_flops' convention: softplus(scale p) (2d), the diagonal scale
-    # (rows d) and, with low-rank factors, (g [u|v]) [v|u]^T (8 rows d
-    # rank) and its add (rows d)
+    # each apply_preconditioner call's cost from its own shapes, per head
+    # of a stack, under count_flops' convention: softplus(scale p) (2d),
+    # the diagonal scale (rows d) and, with low-rank factors, (g u) v^T +
+    # (g v) u^T (8 rows d rank) and its two adds (2 rows d)
     tally = []
 
-    def counted(g, params, _fn=layers.precondition):
+    def counted(g, params, _fn=layers.apply_preconditioner):
         *heads, rows, d = g.shape
-        low_rank = 0 if params.u is None else 8 * rows * d * params.u.shape[-1] + rows * d
+        low_rank = 0 if params.u is None else 8 * rows * d * params.u.shape[-1] + 2 * rows * d
         tally.append(int(np.prod(heads)) * (2 * d + rows * d + low_rank))
         return _fn(g, params)
 
-    monkeypatch.setattr(layers, "precondition", counted)
+    monkeypatch.setattr(layers, "apply_preconditioner", counted)
     cfg = ModelConfig(kind="lm", vocab_size=11, n_layers=2, reuse=2, block=BlockConfig(**FOLDING))
     model = build_model(cfg, seed=0)
     forward(model, np.random.default_rng(0).integers(0, 11, size=(batch, 5)))

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,21 @@ def test_sigmoid_extremes_shapes_and_no_warnings():
 
 
 def test_softplus_at_zero():
-    npt.assert_allclose(ref.softplus(Tensor(0.0)).item(), np.log(2.0), rtol=0, atol=1e-15)
+    npt.assert_allclose(tt.softplus(Tensor(0.0)).item(), np.log(2.0), rtol=0, atol=1e-15)
+
+
+def test_softplus_extremes_without_warnings():
+    # e^800 overflows, but softplus never forms it: its ends are 0 and x,
+    # and its gradient, sigmoid, is 0 and 1 there
+    x = Tensor(np.array([-800.0, 800.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            tape.watch(x)
+            out = tt.softplus(x)
+            grad = tape.backward(tt.tsum(out))[x].data
+    npt.assert_array_equal(out.data, [0.0, 800.0])
+    npt.assert_array_equal(grad, [0.0, 1.0])
 
 
 def test_softmax_rows_sum_to_one():
@@ -277,6 +292,21 @@ def test_shared_subexpression_fanout():
     npt.assert_allclose(tape.backward(loss)[x].data, 4.0 * x.data, atol=1e-15)
 
 
+def test_add_and_sub_keep_no_operand_alive():
+    # their VJPs need only the operands' shapes, so an intermediate fed
+    # only to add or sub is freed with its Tensor, not kept by the tape
+    x = Tensor(np.array([1.0, -1.0, 2.0]))
+    with Tape() as tape:
+        tape.watch(x)
+        for op, sign in ((tt.add, 1.0), (tt.sub, -1.0)):
+            a = tt.mul(x, 2.0)
+            alive = weakref.ref(a.data)
+            out = op(Tensor(np.ones((2, 3))), a)
+            del a
+            assert alive() is None
+            npt.assert_array_equal(tape.backward(tt.tsum(out))[x].data, np.full(3, 4.0 * sign))
+
+
 def test_backward_twice_same_tape_is_stable():
     x = Tensor(np.array([1.0, -1.0, 2.0]))
     with Tape() as tape:
@@ -316,7 +346,7 @@ UNARY_CASES = [
     ("exp", ref.exp, lambda r: r.normal(scale=1.5, size=(3, 4))),
     ("log", ref.log, lambda r: r.uniform(0.2, 5.0, size=(3, 4))),
     ("silu", tt.silu, lambda r: r.normal(scale=3.0, size=(3, 4))),
-    ("softplus", ref.softplus, lambda r: r.normal(scale=3.0, size=(3, 4))),
+    ("softplus", tt.softplus, lambda r: r.normal(scale=3.0, size=(3, 4))),
     ("rsqrt", ref.rsqrt, lambda r: r.uniform(0.3, 4.0, size=(3, 4))),
     ("neg", ref.neg, lambda r: r.normal(size=(3, 4))),
 ]
@@ -344,6 +374,8 @@ BINARY_CASES = [
     ("sub", tt.sub, (3, 4), (3, 4)),
     ("mul", tt.mul, (3, 4), (3, 4)),
     ("mul_broadcast", tt.mul, (3, 1), (3, 4)),
+    # the preconditioner's diagonal: rows times a softplus broadcast over them
+    ("mul_softplus_broadcast", lambda a, b: tt.mul(a, tt.softplus(b)), (2, 3, 2, 4), (3, 1, 4)),
     ("matmul", tt.matmul, (3, 4), (4, 5)),
     ("matmul_batched", tt.matmul, (2, 3, 4), (4, 5)),
 ]
@@ -501,6 +533,19 @@ def test_clip_post_norm_bounded():
 def test_global_norm_concatenation_semantics():
     g = {"a": np.array([3.0]), "b": np.array([4.0])}
     assert global_norm(g) == 5.0
+
+
+def test_clip_keeps_finite_gradients_whose_squares_overflow():
+    # 1e200 squared overflows; a norm of inf would scale every gradient
+    # to zero instead of to the threshold
+    out, norm = clip_by_global_norm({"a": np.array([1e200, 1.0])}, 1.0)
+    assert norm == 1e200
+    npt.assert_allclose(out["a"], [1.0, 1e-200], rtol=1e-15, atol=0)
+    g = {"a": np.array([3e200]), "b": np.array([-4e200, 0.0])}
+    npt.assert_allclose(global_norm(g), 5e200, rtol=1e-15)
+    # a non-finite entry still reads as a non-finite norm
+    assert global_norm({"a": np.array([1e200]), "b": np.array([np.inf])}) == np.inf
+    assert np.isnan(global_norm({"a": np.array([1e200, np.nan])}))
 
 
 # ---------------------------------------------------------------------------

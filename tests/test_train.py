@@ -192,6 +192,21 @@ def test_rejected_step_leaves_params_and_state_untouched():
         assert state.v[name].tobytes() == before[2][name].tobytes()
 
 
+def test_clipped_overflowing_gradient_still_steps():
+    # finite gradients whose squares overflow clip to the threshold, not
+    # to zero, so the step moves the parameter; non-finite ones still abort
+    params = {"x": Tensor(np.zeros(2))}
+    state = init_adam_state(params)
+    grads = {"x": np.array([1e200, 1.0])}
+    assert clip_gradients(grads, 1.0) == 1e200
+    adamw_step(params, grads, state, _constant_lr_cfg(0.1))
+    assert params["x"].data[0] == pytest.approx(-0.1)
+    grads = {"x": np.array([np.inf, 1.0])}
+    clip_gradients(grads, 1.0)
+    with pytest.raises(TrainingError, match="non-finite"):
+        adamw_step(params, grads, state, _constant_lr_cfg(0.1))
+
+
 def test_gradient_key_set_must_match_params():
     params = {"x": Tensor(np.ones(2)), "y": Tensor(np.ones(2))}
     state = init_adam_state(params)
