@@ -227,12 +227,11 @@ def parse_variant(name: str):
     if name == "gated":
         return "gated", 1, 1.0
     if isinstance(name, str) and name.startswith("cem-t"):
-        try:
-            steps = int(name[len("cem-t"):])
-        except ValueError:
-            steps = 0
-        if steps >= 1:
-            return "cem", steps, 1.0
+        digits = name[len("cem-t"):]
+        # canonical only: int() would also take "02", "+2", " 2", "1_0"
+        # and non-ASCII digits, each naming some cem-t<N> a second way
+        if digits.isascii() and digits.isdigit() and digits[0] != "0":
+            return "cem", int(digits), 1.0
     raise SpecError(f"unknown variant {name!r} (want plain, gated, or cem-t<N>)")
 
 

@@ -3,7 +3,9 @@ text ingestion for small language-model runs.
 
 Regression targets are drawn jointly from a zero-mean Gaussian process
 over inputs sampled uniformly on the unit cube, then split into disjoint
-train and test sets. All draws are deterministic per seed.
+train and test sets. All draws are deterministic per seed. Pairwise
+distances come from a numpy helper rather than scipy.spatial, so
+importing the package loads no scipy module.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 class DataError(ValueError):
@@ -53,6 +54,19 @@ class GpKernelSpec:
             raise DataError(f"matern nu must be one of {MATERN_NUS}, got {self.nu}")
 
 
+def _sq_distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Squared euclidean distances between rows, shape (len(xa), len(xb)).
+
+    Sums the squared differences one input dimension at a time, the
+    order scipy's cdist accumulates in, so both give the same bits.
+    """
+    sq = np.zeros((xa.shape[0], xb.shape[0]))
+    for k in range(xa.shape[1]):
+        diff = xa[:, k, None] - xb[None, :, k]
+        sq += diff * diff
+    return sq
+
+
 def kernel_matrix(
     spec: GpKernelSpec, xa: np.ndarray, xb: np.ndarray | None = None
 ) -> np.ndarray:
@@ -64,11 +78,11 @@ def kernel_matrix(
     ell, v = spec.lengthscale, spec.variance
 
     if spec.kind == "rbf":
-        sq = cdist(xa, xb, "sqeuclidean")
+        sq = _sq_distances(xa, xb)
         return v * np.exp(-sq / (2.0 * ell**2))
 
     if spec.kind == "matern":
-        r = cdist(xa, xb) / ell
+        r = np.sqrt(_sq_distances(xa, xb)) / ell
         if spec.nu == 0.5:
             return v * np.exp(-r)
         if spec.nu == 1.5:
@@ -85,7 +99,7 @@ def kernel_matrix(
         return v * np.exp(-2.0 * s / ell**2)
 
     if spec.kind == "rational-quadratic":
-        sq = cdist(xa, xb, "sqeuclidean")
+        sq = _sq_distances(xa, xb)
         return v * (1.0 + sq / (2.0 * spec.alpha * ell**2)) ** (-spec.alpha)
 
     # non-stationary: input-dependent lengthscale ell*(1 + x[0]), combined
@@ -94,7 +108,7 @@ def kernel_matrix(
     la = ell * (1.0 + xa[:, 0])[:, None]
     lb = ell * (1.0 + xb[:, 0])[None, :]
     ssum = la**2 + lb**2
-    sq = cdist(xa, xb, "sqeuclidean")
+    sq = _sq_distances(xa, xb)
     d = xa.shape[1]
     prefactor = (2.0 * la * lb / ssum) ** (d / 2.0)
     return v * prefactor * np.exp(-sq / ssum)

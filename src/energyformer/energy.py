@@ -16,7 +16,10 @@ Two conditional energies over a token state x given a context:
 
 Everything here is plain numpy on purpose and shares no code with the
 recurrent layers, whose steps run as fused tape nodes; tests require
-the two routes to agree to tight tolerances.
+the two routes to agree to tight tolerances. The scipy.special routines
+the energies need (spence, expit, logsumexp) are imported inside the
+functions that call them, so importing the package loads no scipy:
+only the verify oracles and the energy tests evaluate an energy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, spence, expit
 
 from .tensor import DimensionError, DomainError
 
@@ -40,6 +42,8 @@ def silu_antiderivative(z):
     Not monotone: phi dips below zero where silu is negative, then
     grows like z^2/2. phi(0) = -pi^2/12.
     """
+    from scipy.special import spence
+
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     neg = z <= 0.0
@@ -52,6 +56,8 @@ def silu_antiderivative(z):
 
 
 def silu_np(z):
+    from scipy.special import expit
+
     z = np.asarray(z, dtype=np.float64)
     return z * expit(z)
 
@@ -176,6 +182,8 @@ def interaction_energy(
     visible context j = 1..n_ctx. Lower is better; the minimizer pulls
     x toward the dominant projected context directions.
     """
+    from scipy.special import logsumexp
+
     x, history = _check_context(x, history)
     total = 0.0
     for a, _ in _interaction_logits(x, history, spec, query_index):

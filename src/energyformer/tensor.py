@@ -150,7 +150,8 @@ class Tape:
         """Reverse sweep from a scalar root to every watched tensor.
 
         Returns zero gradients for watched tensors the root does not
-        depend on. May be called repeatedly on the same tape.
+        depend on; every returned gradient owns its memory. May be
+        called repeatedly on the same tape.
         """
         if not isinstance(root, Tensor):
             raise TapeError("backward root must be a Tensor")
@@ -178,9 +179,13 @@ class Tape:
                 if parent is not None and parent.tape is self and id(parent) not in seen:
                     stack.append((parent, False))
 
+        # a slot holds a parent's cotangent as its first consumer returned
+        # it, often a view of that consumer's; the tape adds in place only
+        # into arrays it allocated itself (ids in `owned`)
         grads: dict[int, np.ndarray] = {
             id(root.node): np.ones_like(root.data)
         }
+        owned: set[int] = {id(root.node)}
         for node in reversed(order):
             if node.vjp is None:
                 continue  # leaf; keep its accumulated gradient for the final read
@@ -190,26 +195,26 @@ class Tape:
             for parent, pg in zip(node.inputs, node.vjp(g)):
                 if parent is None or pg is None or parent.tape is not self:
                     continue
-                slot = grads.get(id(parent))
+                key = id(parent)
+                slot = grads.get(key)
                 if slot is None:
-                    # store an owned, writable ndarray: numpy scalars rebind
-                    # on += and views alias the consumer's cotangent
-                    if (
-                        isinstance(pg, np.ndarray)
-                        and pg.base is None
-                        and pg.flags.owndata
-                        and pg.flags.writeable
-                    ):
-                        grads[id(parent)] = pg
-                    else:
-                        grads[id(parent)] = np.array(pg, dtype=np.float64)
-                else:
+                    grads[key] = pg
+                elif key in owned:
                     slot += pg
+                else:
+                    grads[key] = slot = slot + pg
+                    if isinstance(slot, np.ndarray):  # 0-d sums come back as scalars
+                        owned.add(key)
 
         out: dict[Tensor, Tensor] = {}
         for t in self._watched:
-            g = grads.get(id(t.node))
-            out[t] = Tensor(np.zeros_like(t.data) if g is None else g)
+            key = id(t.node)
+            g = grads.get(key)
+            if g is None:
+                g = np.zeros_like(t.data)
+            elif key not in owned:
+                g = np.array(g, dtype=np.float64)  # unalias from the graph
+            out[t] = Tensor(g)
         return out
 
 
@@ -230,8 +235,8 @@ def record(out_data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap out_data, adding a node if any parent is traced on the active tape.
 
     vjp(g) maps the output cotangent to one cotangent per parent, in
-    order; None marks a parent that gets no gradient. Each returned
-    array must be fresh or owned by nothing else the caller keeps.
+    order; None marks a parent that gets no gradient. A returned array
+    may be a view of g or of saved data: the tape never writes into it.
     """
     tape = _active_tape()
     if tape is None:

@@ -95,7 +95,12 @@ def test_variant_parsing():
     assert parse_variant("gated") == ("gated", 1, 1.0)
     assert parse_variant("cem-t1") == ("cem", 1, 1.0)
     assert parse_variant("cem-t4") == ("cem", 4, 1.0)
-    for bad in ("cem-t0", "cem-tx", "extra"):
+    assert parse_variant("cem-t10") == ("cem", 10, 1.0)
+    # from "cem-t02" on, int() reads each suffix as a number, and all but
+    # "cem-t00" would run some cem-t<N> under a second name ("cem-t1_0"
+    # as 10 steps)
+    for bad in ("cem-t0", "cem-tx", "extra", "cem-t", "cem-t02", "cem-t+2", "cem-t 2",
+                "cem-t\u0662", "cem-t1_0", "cem-t2 ", "cem-t00"):
         with pytest.raises(SpecError):
             parse_variant(bad)
 
@@ -345,6 +350,7 @@ def test_cli_bad_count_models_exit_2(tmp_path, capsys, models):
     ("gp-regression", {"model": {"preset": "lm-smoke"}}),  # variants make the models
     ("count", {"optim": {"lr": 1e-3}}),
     ("lm-smoke", {"data": {"seq_len": 1}}),
+    ("gp-regression", {"task_options": {"variants": ["cem-t2", "cem-t02"]}}),  # one model twice
 ])
 def test_cli_malformed_task_options_exit_2(tmp_path, capsys, task, options):
     spec = _write_spec(tmp_path, {

@@ -2,6 +2,8 @@
 statistics against the covariance they should have, and the byte-text
 plumbing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -15,6 +17,7 @@ from energyformer.data import (
     corpus_path,
     detokenize,
     gp_sample,
+    KERNEL_KINDS,
     gp_targets,
     ingest_text,
     jittered_cholesky,
@@ -77,6 +80,61 @@ def test_kernel_matrix_matches_scalar_loop(spec):
     for i in range(9):
         for j in range(7):
             assert got[i, j] == pytest.approx(_scalar_kernel(spec, xa[i], xb[j]), abs=1e-12)
+
+
+def _cdist_kernel(spec, xa, xb):
+    """The kernels with distances from scipy's cdist, as a bitwise reference."""
+    v, ell = spec.variance, spec.lengthscale
+    sq = cdist(xa, xb, "sqeuclidean")
+    if spec.kind == "rbf":
+        return v * np.exp(-sq / (2.0 * ell**2))
+    if spec.kind == "matern":
+        r = cdist(xa, xb) / ell
+        if spec.nu == 0.5:
+            return v * np.exp(-r)
+        if spec.nu == 1.5:
+            s = np.sqrt(3.0) * r
+            return v * (1.0 + s) * np.exp(-s)
+        s = np.sqrt(5.0) * r
+        return v * (1.0 + s + s**2 / 3.0) * np.exp(-s)
+    if spec.kind == "periodic":
+        diff = xa[:, None, :] - xb[None, :, :]
+        s = np.sum(np.sin(np.pi * np.abs(diff) / spec.period) ** 2, axis=-1)
+        return v * np.exp(-2.0 * s / ell**2)
+    if spec.kind == "rational-quadratic":
+        return v * (1.0 + sq / (2.0 * spec.alpha * ell**2)) ** (-spec.alpha)
+    la = ell * (1.0 + xa[:, 0])[:, None]
+    lb = ell * (1.0 + xb[:, 0])[None, :]
+    ssum = la**2 + lb**2
+    return v * (2.0 * la * lb / ssum) ** (xa.shape[1] / 2.0) * np.exp(-sq / ssum)
+
+
+@pytest.mark.parametrize("in_dim", [1, 4, 10])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-nu{s.nu}")
+def test_kernel_matrix_matches_cdist_bitwise(spec, in_dim):
+    rng = np.random.default_rng(in_dim)
+    xa = rng.uniform(size=(23, in_dim))
+    xb = rng.uniform(size=(17, in_dim))
+    assert np.array_equal(kernel_matrix(spec, xa, xb), _cdist_kernel(spec, xa, xb))
+    assert np.array_equal(kernel_matrix(spec, xa), _cdist_kernel(spec, xa, xa))
+
+
+# sha256 prefixes of the seed-3 draws (64 points, in_dim 10), taken while
+# the kernels still measured distances with scipy's cdist
+GP_SAMPLE_HASHES = {
+    "rbf": "73c58b2c11597f1f",
+    "matern": "deec2660298960fb",
+    "periodic": "2bd673bc41b203cc",
+    "rational-quadratic": "3e074d8cf5666b41",
+    "non-stationary": "740914ba776b192c",
+}
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_gp_sample_targets_are_pinned(kind):
+    train, test = gp_sample(GpKernelSpec(kind), n_points=64, seed=3)
+    digest = hashlib.sha256(train.targets.tobytes() + test.targets.tobytes()).hexdigest()
+    assert digest[:16] == GP_SAMPLE_HASHES[kind]
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"{s.kind}-nu{s.nu}")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import composed_reference as ref
 from energyformer import layers as ly
 from energyformer import model as md
+from energyformer import tensor as tt
 from energyformer import verify as vf
 from energyformer.model import named_parameters, named_tensors
 from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul, record, tsum
@@ -283,6 +284,36 @@ def test_lm_smoke_training_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 48e6
+
+
+def test_lm_smoke_backward_copies_at_most_one_gradient_per_parameter(monkeypatch):
+    # the tape copies a watched parameter's gradient only when it is still
+    # a view into the graph, and sums repeated cotangents into fresh
+    # arrays; copying every cotangent that arrived as a view took 89
+    model = lm_smoke()
+    params = list(named_parameters(model).values())
+    windows = np.random.default_rng(4).integers(0, 256, size=(8, 65))
+    with Tape() as tape:
+        tape.watch(*params)
+        loss = lm_loss(model, windows)
+    copies = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, *args, **kwargs):
+            copies.append(args[0])
+            return np.array(*args, **kwargs)
+
+    monkeypatch.setattr(tt, "np", CountingNumpy())
+    grads = tape.backward(loss)
+    monkeypatch.undo()
+    assert len(params) == 37
+    assert 0 < len(copies) <= len(params)
+    # every returned gradient owns its memory
+    assert len({id(grads[t].data) for t in params}) == len(params)
+    assert all(grads[t].data.base is None for t in params)
 
 
 def test_fused_steps_raise_dimension_errors():

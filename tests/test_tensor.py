@@ -292,6 +292,26 @@ def test_shared_subexpression_fanout():
     npt.assert_allclose(tape.backward(loss)[x].data, 4.0 * x.data, atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_many_cotangents_sum_and_returned_gradients_are_unaliased(shape):
+    # a 0-d sum of two cotangents comes back as a numpy scalar, which an
+    # in-place add would rebind instead of accumulate; and no returned
+    # gradient may share memory with the graph or with another gradient
+    w = Tensor(np.full(shape, 2.0))
+    v = Tensor(np.full(shape, 1.0))
+    with Tape() as tape:
+        tape.watch(w, v)
+        y = tt.add(w, v)  # v's gradient is a view of this add's cotangent
+        loss = tt.tsum(tt.add(tt.add(tt.mul(w, 3.0), tt.mul(w, 5.0)), tt.mul(y, 7.0)))
+    grads = tape.backward(loss)
+    npt.assert_array_equal(grads[w].data, np.full(shape, 15.0))
+    npt.assert_array_equal(grads[v].data, np.full(shape, 7.0))
+    for g in (grads[w].data, grads[v].data):
+        assert isinstance(g, np.ndarray) and g.base is None and g.flags.writeable
+    grads[v].data[...] = 0.0
+    npt.assert_array_equal(tape.backward(loss)[v].data, np.full(shape, 7.0))
+
+
 def test_add_and_sub_keep_no_operand_alive():
     # their VJPs need only the operands' shapes, so an intermediate fed
     # only to add or sub is freed with its Tensor, not kept by the tape
