@@ -2,14 +2,15 @@
 
 A JSON experiment spec names a task (gp-regression, lm-smoke, verify,
 lr-sweep, count) plus model/optimizer/data payloads and a seed list.
-The runner resolves that file, writes every artifact under one directory
-per (spec-hash, seed), and keeps all randomness flowing from the listed
-seeds. Exit codes: 0 success, 1 runtime failure, 2 invalid spec.
+The runner resolves that file into one directory per spec hash, and keeps
+all randomness flowing from the listed seeds. A task directory holds
+effective-config.json, the task's one result.json record (both replaced
+atomically), and each training run's streamed metrics.jsonl and model.bin.
+Exit codes: 0 success, 1 runtime failure, 2 invalid spec.
 """
 
 import argparse
 import concurrent.futures
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -30,7 +31,6 @@ from .data import (
     corpus_path,
     gp_sample,
     ingest_text,
-    write_regression_csv,
 )
 from .model import (
     BlockConfig,
@@ -43,6 +43,7 @@ from .model import (
     count_parameters_config,
     preset,
 )
+from .serialize import write_atomic
 from .tensor import DomainError
 from .train import (
     InterpolationError,
@@ -130,8 +131,8 @@ class ExperimentSpec:
             _check("optim", lambda optim: OptimConfig(**optim).validate(), read["optim"])
         if "kernel" in data:
             _check("data", gp_kernel_spec, data)
-        if "corpus" in data and data["corpus"] and not Path(data["corpus"]).exists():
-            raise SpecError(f"data.corpus: no such file {data['corpus']!r}")
+        if "corpus" in data and data["corpus"] and not Path(data["corpus"]).is_file():
+            raise SpecError(f"data.corpus: {data['corpus']!r} is not a file")
         if "variants" in opts:
             variants = opts["variants"]
             for variant in variants:
@@ -246,11 +247,14 @@ def task_dir_for(spec: ExperimentSpec) -> Path:
     return Path(spec.out or "runs") / f"{spec.task}-{spec_hash(spec)}"
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_result(task_dir: Path, result: dict) -> None:
+    """Replace task_dir/result.json with result as strict JSON. A non-finite
+    number raises DataError and leaves the previous record as it was."""
+    try:
+        text = json.dumps(result, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{task_dir.name}: result is not finite JSON: {exc}") from exc
+    write_atomic(task_dir / "result.json", (text + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +286,6 @@ def _gp_seed_rows(spec: ExperimentSpec, task_dir: Path, seed: int) -> list:
                             in_dim=data["in_dim"])
     seed_dir = task_dir / f"seed{seed}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    write_regression_csv(seed_dir / "data.csv", [train, test])
 
     ocfg = OptimConfig(**read_payload(spec, "optim"))
     rows = []
@@ -322,23 +325,15 @@ def run_gp_regression(spec: ExperimentSpec, task_dir: Path, jobs: int = 1) -> di
     else:
         chunks = [_gp_seed_rows(spec, task_dir, seed) for seed in spec.seeds]
     rows = [row for chunk in chunks for row in chunk]
-
-    header = ["seed", "variant", "steps", "mlp_core_params", "total_params",
-              "rmse_train", "rmse_test"]
-    _write_csv(task_dir / "results.csv", header, [[r[k] for k in header] for r in rows])
-    (task_dir / "gp-results.json").write_text(json.dumps(rows, indent=2) + "\n")
-
     summary = {}
-    for variant in {r["variant"] for r in rows}:
-        test_vals = [r["rmse_test"] for r in rows if r["variant"] == variant]
-        train_vals = [r["rmse_train"] for r in rows if r["variant"] == variant]
+    for variant in read_payload(spec, "task_options")["variants"]:
         summary[variant] = {
-            "mean_rmse_test": float(np.mean(test_vals)),
-            "mean_rmse_train": float(np.mean(train_vals)),
+            f"mean_{key}": float(np.mean([r[key] for r in rows if r["variant"] == variant]))
+            for key in ("rmse_test", "rmse_train")
         }
-    (task_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    emit_plotdata(task_dir)
-    return {"rows": rows, "summary": summary, "dir": str(task_dir)}
+    result = {"rows": rows, "summary": summary}
+    write_result(task_dir, result)
+    return result
 
 
 def _lm_windows(spec: ExperimentSpec):
@@ -370,7 +365,6 @@ def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimCo
         eval_fn=lambda m: lm_eval(m, held_out),
         log_every=max(1, ocfg.total_steps // 20),
         metrics_path=seed_dir / "metrics.jsonl",
-        summary_csv_path=seed_dir / "summary.csv",
         checkpoint_path=seed_dir / "model.bin",
     )
     return metrics, eval_before
@@ -378,23 +372,24 @@ def _lm_train_one(spec: ExperimentSpec, seed: int, seed_dir: Path, ocfg: OptimCo
 
 def run_lm_smoke(spec: ExperimentSpec, task_dir: Path) -> dict:
     ocfg = OptimConfig(**read_payload(spec, "optim"))
-    results = {}
+    rows = []
     for seed in spec.seeds:
-        seed_dir = task_dir / f"seed{seed}"
         t0 = time.perf_counter()
-        metrics, eval_before = _lm_train_one(spec, seed, seed_dir, ocfg)
+        metrics, eval_before = _lm_train_one(spec, seed, task_dir / f"seed{seed}", ocfg)
         # on the fixed held-out windows: minibatch train losses are too noisy
         reduction = 1.0 - metrics.final_eval["loss"] / eval_before["loss"]
-        results[seed] = {
+        rows.append({
+            "seed": seed,
             "initial_train_loss": metrics.initial_train_loss,
             "final_train_loss": metrics.final_train_loss,
             "reduction": reduction,
             "initial_eval": eval_before,
             "eval": metrics.final_eval,
             "wall_time_s": time.perf_counter() - t0,
-        }
-        (seed_dir / "result.json").write_text(json.dumps(results[seed], indent=2) + "\n")
-    return {"results": results, "dir": str(task_dir)}
+        })
+    result = {"rows": rows}
+    write_result(task_dir, result)
+    return result
 
 
 def run_lr_sweep(spec: ExperimentSpec, task_dir: Path) -> dict:
@@ -409,26 +404,19 @@ def run_lr_sweep(spec: ExperimentSpec, task_dir: Path) -> dict:
             losses.append(metrics.final_eval["loss"])
         points.append({"lr": lr, "loss": float(np.mean(losses)),
                        "per_seed": losses})
-    (task_dir / "sweep-points.json").write_text(json.dumps(points, indent=2) + "\n")
 
-    result = {"points": points, "dir": str(task_dir)}
+    result = {"points": points}
     if len(points) >= 5:
-        best_lr, best_loss = estimate_lr_optimum(
+        result["best_lr"], result["best_loss"] = estimate_lr_optimum(
             [p["lr"] for p in points], [p["loss"] for p in points],
         )
-        result["best_lr"] = best_lr
-        result["best_loss"] = best_loss
-        (task_dir / "sweep-argmin.json").write_text(
-            json.dumps({"best_lr": best_lr, "best_loss": best_loss}) + "\n")
-    emit_plotdata(task_dir)
+    write_result(task_dir, result)
     return result
 
 
 def run_verify(spec: ExperimentSpec, task_dir: Path) -> dict:
-    report = verify.run_all(
-        out_path=task_dir / "verify.json",
-        fast=read_payload(spec, "task_options")["fast"],
-    )
+    report = verify.run_all(fast=read_payload(spec, "task_options")["fast"])
+    write_result(task_dir, report)  # a failing battery still leaves its verdict
     for check in report["checks"]:
         tag = "ok  " if check["passed"] else "FAIL"
         print(f"{tag} {check['check']}: worst={check['worst_deviation']:.3g} "
@@ -456,15 +444,12 @@ def count_models(entries: list) -> dict[str, ModelConfig]:
 
 def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
     opts = read_payload(spec, "task_options")
-    rows = []
     table = {}
     for name, cfg in count_models(opts["models"]).items():
         params = count_parameters_config(cfg)
         flops = count_flops(cfg, seq_len=opts["seq_len"])
         table[name] = {"params": params, "flops_per_token": flops["per_token"],
                        "precond_flops_per_call": flops["precond_per_call"]}
-        rows.append([name, params["total"], params["attention_core"],
-                     params["mlp_core"], flops["per_token"]])
         print(f"{name}: total={params['total']:,} attention_core={params['attention_core']:,} "
               f"mlp_core={params['mlp_core']:,} flops/token={flops['per_token']:,}")
 
@@ -479,72 +464,9 @@ def run_count(spec: ExperimentSpec, task_dir: Path) -> dict:
                                "value": pb[key] / pa[key]}
                 print(f"ratio {name_b}/{name_a} {key}: {frac.numerator}/{frac.denominator}"
                       f" = {pb[key] / pa[key]:.4f}")
-    _write_csv(
-        task_dir / "count.csv",
-        ["name", "total_params", "attention_core", "mlp_core", "flops_per_token"],
-        rows,
-    )
-    report = {"models": table, "ratios": ratios}
-    (task_dir / "count.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
-
-# ---------------------------------------------------------------------------
-# plot data
-
-
-def emit_plotdata(metrics_dir) -> list:
-    """Tidy CSVs for downstream plotting, derived from a task directory.
-
-    Learning-rate sweeps gain an interpolated-argmin row when five or
-    more points are present; regression results flatten to a
-    steps-vs-RMSE table. No rendering happens here.
-    """
-    metrics_dir = Path(metrics_dir)
-    written = []
-
-    sweep_file = metrics_dir / "sweep-points.json"
-    if sweep_file.exists():
-        points = json.loads(sweep_file.read_text())
-        if not points:
-            raise DataError(f"empty metrics in {sweep_file}")
-        for point in points:
-            for key in ("lr", "loss"):
-                if key not in point:
-                    raise DataError(f"missing metric key {key!r} in {sweep_file}")
-                value = point[key]
-                if not isinstance(value, (int, float)) or not np.isfinite(value):
-                    raise DataError(f"{key} {value!r} in {sweep_file} is not a finite number")
-        rows = [[p["lr"], p["loss"], "sample"] for p in points]
-        if len(points) >= 5:
-            best_lr, best_loss = estimate_lr_optimum(
-                [p["lr"] for p in points], [p["loss"] for p in points])
-            rows.append([best_lr, best_loss, "akima-argmin"])
-        path = metrics_dir / "plot-lr-vs-loss.csv"
-        _write_csv(path, ["lr", "loss", "kind"], rows)
-        written.append(path)
-
-    gp_file = metrics_dir / "gp-results.json"
-    if gp_file.exists():
-        rows = json.loads(gp_file.read_text())
-        if not rows:
-            raise DataError(f"empty metrics in {gp_file}")
-        for row in rows:
-            for key in ("variant", "steps", "seed", "rmse_test"):
-                if key not in row:
-                    raise DataError(f"missing metric key {key!r} in {gp_file}")
-        flat = [[r["variant"], r["steps"], r["seed"], r["rmse_test"]] for r in rows]
-        for variant in sorted({r["variant"] for r in rows}):
-            vals = [r["rmse_test"] for r in rows if r["variant"] == variant]
-            steps = next(r["steps"] for r in rows if r["variant"] == variant)
-            flat.append([variant, steps, "mean", float(np.mean(vals))])
-        path = metrics_dir / "plot-steps-vs-rmse.csv"
-        _write_csv(path, ["variant", "steps", "seed", "rmse_test"], flat)
-        written.append(path)
-
-    if not written:
-        raise DataError(f"no metrics found under {metrics_dir}")
-    return written
+    result = {"models": table, "ratios": ratios}
+    write_result(task_dir, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +512,12 @@ TASKS = {
 
 
 def run_spec(spec: ExperimentSpec, jobs: int = 1) -> dict:
-    """Run the spec's task in its directory, beside its effective config."""
+    """Run the spec's task in its directory, beside its effective config;
+    returns the record the task wrote to result.json."""
     task_dir = task_dir_for(spec)
     task_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(spec.to_dict(), indent=2, sort_keys=True)
-    (task_dir / "effective-config.json").write_text(text + "\n")
+    write_atomic(task_dir / "effective-config.json", (text + "\n").encode())
     if spec.task == "gp-regression":  # the only task that fans seeds out
         return run_gp_regression(spec, task_dir, jobs)
     return TASKS[spec.task](spec, task_dir)
@@ -670,7 +593,7 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # non-finite results raise typed errors below
             run_spec(spec, jobs=args.jobs)
     except (TrainingError, DataError, NumericalError, DomainError, ConfigError,
-            InterpolationError) as exc:
+            InterpolationError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     return 0

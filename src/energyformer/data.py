@@ -10,7 +10,6 @@ importing the package loads no scipy module.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,20 +190,6 @@ def gp_sample(
     train = RegressionBatch(inputs[:n_train], targets[:n_train], "train")
     test = RegressionBatch(inputs[n_train:], targets[n_train:], "test")
     return train, test
-
-
-def write_regression_csv(path: str | Path, batches: list[RegressionBatch]) -> None:
-    """Flat CSV export: split tag, input coordinates, target."""
-    path = Path(path)
-    width = batches[0].inputs.shape[1] if batches else 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split"] + [f"x{i}" for i in range(width)] + ["y"])
-        for batch in batches:
-            if batch.inputs.shape[1] != width:
-                raise DataError("batches have inconsistent input widths")
-            for row, y in zip(batch.inputs, batch.targets[:, 0]):
-                writer.writerow([batch.split] + [repr(float(c)) for c in row] + [repr(float(y))])
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_lm_smoke_stability(tmp_path):
         optim={"total_steps": 500, "batch_size": 8},
     ))
     elapsed = time.perf_counter() - t0
-    result = out["results"][0]
+    (result,) = out["rows"]
     print(f"lm smoke: loss {result['initial_train_loss']:.3f} -> "
           f"{result['final_train_loss']:.3f} ({result['reduction']:.1%}) in {elapsed:.0f}s")
     assert np.isfinite(result["final_train_loss"])  # loop aborts on NaN anyway

@@ -17,7 +17,6 @@ from energyformer import cli
 from energyformer.cli import (
     ExperimentSpec,
     SpecError,
-    emit_plotdata,
     gp_variant_config,
     main,
     parse_variant,
@@ -25,10 +24,12 @@ from energyformer.cli import (
     run_spec,
     spec_hash,
     task_dir_for,
+    write_result,
 )
 from energyformer.data import DataError, batch_iterator
-from energyformer.train import OptimConfig, lm_eval
+from energyformer.train import OptimConfig, estimate_lr_optimum, lm_eval
 from energyformer.model import build_model, count_parameters_config
+from test_serialize import _fail_writes
 
 
 def _write_spec(tmp_path, payload):
@@ -275,10 +276,9 @@ def test_cli_count_end_to_end(tmp_path, capsys):
     assert "mlp_core: 2/3" in out
     run_dirs = list((tmp_path / "runs").glob("count-*"))
     assert len(run_dirs) == 1
-    report = json.loads((run_dirs[0] / "count.json").read_text())
+    report = json.loads((run_dirs[0] / "result.json").read_text())
     assert report["ratios"]["attention_core"]["exact"] == "1/2"
     assert report["ratios"]["mlp_core"]["exact"] == "2/3"
-    assert (run_dirs[0] / "count.csv").exists()
 
 
 def test_cli_default_out_root_is_runs(tmp_path, monkeypatch):
@@ -290,7 +290,7 @@ def test_cli_default_out_root_is_runs(tmp_path, monkeypatch):
     want = Path("runs") / f"count-{spec_hash(ExperimentSpec.from_dict(payload))}"
     assert task_dir_for(ExperimentSpec.from_dict(payload)) == want
     assert [p.name for p in (tmp_path / "runs").iterdir()] == [want.name]
-    assert (tmp_path / want / "count.json").exists()
+    assert (tmp_path / want / "result.json").exists()
 
 
 def test_cli_count_named_inline_entries(tmp_path):
@@ -302,7 +302,7 @@ def test_cli_count_named_inline_entries(tmp_path):
         ]},
     })
     assert main(["--spec", spec]) == 0
-    report = json.loads(next((tmp_path / "runs").glob("count-*/count.json")).read_text())
+    report = json.loads(next((tmp_path / "runs").glob("count-*/result.json")).read_text())
     assert set(report["models"]) == {"wide", "narrow"}
     assert report["models"]["wide"]["params"]["mlp_core"] > (
         report["models"]["narrow"]["params"]["mlp_core"])
@@ -391,7 +391,8 @@ def test_cli_overrides_reach_nested_fields(tmp_path):
     payload = json.loads((run_dir / "effective-config.json").read_text())
     assert payload["optim"]["total_steps"] == 2
     assert payload["seeds"] == [7]
-    result = json.loads((run_dir / "seed7" / "result.json").read_text())
+    (result,) = json.loads((run_dir / "result.json").read_text())["rows"]
+    assert result["seed"] == 7
     assert np.isfinite(result["final_train_loss"])
     assert (run_dir / "seed7" / "model.bin").exists()
 
@@ -430,7 +431,7 @@ def test_lm_smoke_eval_windows_are_held_out(tmp_path, monkeypatch):
 
 def test_lm_smoke_reduction_is_held_out_eval_before_and_after(tmp_path):
     spec = ExperimentSpec(out=str(tmp_path / "runs"), **LM_SPEC)
-    result = run_spec(spec)["results"][0]
+    (result,) = run_spec(spec)["rows"]
     held_out = cli._lm_windows(spec)[: cli.EVAL_WINDOWS]
     before = lm_eval(build_model(resolve_model_config(LM_SPEC["model"]), seed=0), held_out)
     assert result["reduction"] == 1.0 - result["eval"]["loss"] / before["loss"]
@@ -456,21 +457,18 @@ def test_gp_task_writes_paired_artifacts(tmp_path):
                       "variants": ["gated", "cem-t1", "cem-t2"]},
     )
     out = run_spec(spec)
-    task_dir = Path(out["dir"])
-    rows = json.loads((task_dir / "gp-results.json").read_text())
+    assert json.loads((task_dir_for(spec) / "result.json").read_text()) == out
+    rows = out["rows"]
     assert len(rows) == 6  # 2 seeds x 3 variants
     by_seed = {(r["seed"], r["variant"]): r for r in rows}
     assert by_seed[(0, "cem-t1")]["total_params"] == by_seed[(0, "cem-t2")]["total_params"]
-    lines = (task_dir / "results.csv").read_text().splitlines()
-    assert lines[0].startswith("seed,variant,steps")
-    assert len(lines) == 7
-    # per-seed data files exist and differ between seeds
-    d0 = (task_dir / "seed0" / "data.csv").read_text()
-    d1 = (task_dir / "seed1" / "data.csv").read_text()
-    assert d0 != d1
-    plot = (task_dir / "plot-steps-vs-rmse.csv").read_text().splitlines()
-    assert plot[0] == "variant,steps,seed,rmse_test"
-    assert sum(1 for line in plot if ",mean," in line) == 3
+    # each seed draws its own problem
+    assert by_seed[(0, "gated")]["rmse_test"] != by_seed[(1, "gated")]["rmse_test"]
+    assert list(out["summary"]) == ["gated", "cem-t1", "cem-t2"]  # the spec's order
+    for variant, means in out["summary"].items():
+        for key in ("rmse_test", "rmse_train"):
+            vals = [by_seed[(seed, variant)][key] for seed in spec.seeds]
+            assert means[f"mean_{key}"] == float(np.mean(vals))
 
 
 def test_gp_task_deterministic_per_seed(tmp_path):
@@ -497,13 +495,21 @@ def test_lr_sweep_produces_argmin_annotation(tmp_path):
         task_options={"n_points": 5, "low": 1e-3, "high": 8e-3},
     )
     out = run_spec(spec)
-    assert len(out["points"]) == 5
-    assert "best_lr" in out
-    task_dir = Path(out["dir"])
-    plot = (task_dir / "plot-lr-vs-loss.csv").read_text().splitlines()
-    assert plot[0] == "lr,loss,kind"
-    assert plot[-1].endswith("akima-argmin")
-    assert len(plot) == 7  # header + 5 samples + argmin
+    assert json.loads((task_dir_for(spec) / "result.json").read_text()) == out
+    points = out["points"]
+    assert len(points) == 5
+    best = estimate_lr_optimum([p["lr"] for p in points], [p["loss"] for p in points])
+    assert (out["best_lr"], out["best_loss"]) == best
+
+
+def test_lr_sweep_under_five_points_has_no_argmin(tmp_path):
+    spec = ExperimentSpec(
+        task="lr-sweep", seeds=(0,), out=str(tmp_path / "runs"),
+        data={"seq_len": 17}, model=LM_SPEC["model"], optim=LM_SPEC["optim"],
+        task_options={"lrs": [1e-3]},
+    )
+    out = run_spec(spec)
+    assert list(out) == ["points"] and len(out["points"]) == 1
 
 
 def test_lr_sweep_scores_held_out_eval_loss(tmp_path):
@@ -515,7 +521,7 @@ def test_lr_sweep_scores_held_out_eval_loss(tmp_path):
     out = run_spec(spec)
     for point in out["points"]:
         for seed, loss in zip(spec.seeds, point["per_seed"]):
-            run_dir = Path(out["dir"]) / f"lr{point['lr']:.6g}-seed{seed}"
+            run_dir = task_dir_for(spec) / f"lr{point['lr']:.6g}-seed{seed}"
             records = [json.loads(line)
                        for line in (run_dir / "metrics.jsonl").read_text().splitlines()]
             final_eval = [r["value"] for r in records
@@ -532,38 +538,92 @@ def test_verify_task_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" not in out
     run_dir = next((tmp_path / "runs").glob("verify-*"))
-    report = json.loads((run_dir / "verify.json").read_text())
+    report = json.loads((run_dir / "result.json").read_text())
     assert report["all_passed"] is True
 
 
+def test_verify_task_failing_battery_leaves_its_verdict(tmp_path, capsys, monkeypatch):
+    report = {"all_passed": False, "checks": [
+        {"check": "descent", "passed": False, "worst_deviation": 0.5, "tolerance": 0.0,
+         "n_cases": 3}]}
+    monkeypatch.setattr(cli.verify, "run_all", lambda fast: report)
+    spec = _write_spec(tmp_path, {"version": 1, "task": "verify", "out": str(tmp_path / "runs")})
+    assert main(["--spec", spec]) == 1
+    assert "verification suites failed: descent" in capsys.readouterr().err
+    run_dir = next((tmp_path / "runs").glob("verify-*"))
+    assert json.loads((run_dir / "result.json").read_text()) == report
+
+
 # ---------------------------------------------------------------------------
-# plot data
+# result records
 
 
-def test_emit_plotdata_errors(tmp_path):
-    with pytest.raises(DataError, match="no metrics"):
-        emit_plotdata(tmp_path)
-    (tmp_path / "sweep-points.json").write_text("[]")
-    with pytest.raises(DataError, match="empty metrics"):
-        emit_plotdata(tmp_path)
-    (tmp_path / "sweep-points.json").write_text(json.dumps([{"lr": 1e-3}]))
-    with pytest.raises(DataError, match="missing metric key 'loss'"):
-        emit_plotdata(tmp_path)
+TINY_LM = {"data": {"seq_len": 17}, "model": LM_SPEC["model"], "optim": LM_SPEC["optim"]}
+TINY_TASKS = {  # task: (spec payloads, the run files it leaves)
+    "gp-regression": (
+        {"data": {"n_points": 20, "in_dim": 2}, "optim": {"total_steps": 2},
+         "task_options": {"d_hidden": 8, "d_mlp": 16, "variants": ["gated", "cem-t1"]}},
+        [f"seed0/{v}-{f}" for v in ("gated", "cem-t1") for f in ("metrics.jsonl", "model.bin")],
+    ),
+    "lm-smoke": (TINY_LM, ["seed0/metrics.jsonl", "seed0/model.bin"]),
+    "lr-sweep": (
+        {**TINY_LM, "task_options": {"lrs": [1e-3, 2e-3]}},
+        [f"lr{lr}-seed0/{f}" for lr in ("0.001", "0.002") for f in ("metrics.jsonl", "model.bin")],
+    ),
+    "verify": ({}, []),
+    "count": ({"task_options": {"seq_len": 8}}, []),
+}
 
 
-def test_emit_plotdata_rejects_non_finite_sweep_points(tmp_path):
-    for key, bad in (("loss", float("nan")), ("lr", float("inf"))):
-        points = [{"lr": lr, "loss": 2.0} for lr in (1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)]
-        points[2][key] = bad
-        (tmp_path / "sweep-points.json").write_text(json.dumps(points))
-        with pytest.raises(DataError, match=f"{key} .* is not a finite number"):
-            emit_plotdata(tmp_path)
+@pytest.mark.parametrize("task", list(TINY_TASKS))
+def test_task_dir_holds_config_result_and_run_files_only(tmp_path, capsys, task):
+    payloads, run_files = TINY_TASKS[task]
+    spec = ExperimentSpec(task=task, out=str(tmp_path / "runs"), **payloads)
+    out = run_spec(spec)
+    task_dir = task_dir_for(spec)
+    files = {str(p.relative_to(task_dir)) for p in task_dir.rglob("*") if p.is_file()}
+    assert files == {"effective-config.json", "result.json", *run_files}
+    assert json.loads((task_dir / "result.json").read_text()) == out
 
 
-def test_emit_plotdata_single_point_passthrough(tmp_path):
-    (tmp_path / "sweep-points.json").write_text(
-        json.dumps([{"lr": 1e-3, "loss": 2.0}]))
-    paths = emit_plotdata(tmp_path)
-    lines = paths[0].read_text().splitlines()
-    assert len(lines) == 2  # header + the single sample, no argmin row
-    assert lines[1].endswith("sample")
+def test_write_result_rejects_non_finite_numbers(tmp_path):
+    write_result(tmp_path, {"points": [{"lr": 1e-3, "loss": 2.0}]})
+    before = (tmp_path / "result.json").read_bytes()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(DataError, match=f"{tmp_path.name}: result is not finite JSON"):
+            write_result(tmp_path, {"points": [{"lr": 1e-3, "loss": bad}]})
+        assert (tmp_path / "result.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+
+def test_failed_result_write_keeps_previous_result(tmp_path, monkeypatch):
+    write_result(tmp_path, {"rows": [{"seed": 0, "reduction": 0.25}]})
+    before = (tmp_path / "result.json").read_bytes()
+    _fail_writes(monkeypatch)
+    with pytest.raises(OSError):
+        write_result(tmp_path, {"rows": [{"seed": 0, "reduction": 0.5}] * 100})
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]  # no temp file left
+    assert (tmp_path / "result.json").read_bytes() == before
+
+
+def test_cli_corpus_directory_exits_2(tmp_path, capsys):
+    spec = _write_spec(tmp_path, {
+        "version": 1, "task": "lm-smoke", "out": str(tmp_path / "runs"),
+        "data": {"corpus": str(tmp_path)},
+    })
+    assert main(["--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "invalid spec" in err and "data.corpus" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_unwritable_out_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    spec = _write_spec(tmp_path, {"version": 1, "task": "count",
+                                  "task_options": {"seq_len": 8}})
+    assert main(["--spec", spec, "--out", str(blocker / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed")
+    assert "Traceback" not in err

@@ -23,7 +23,6 @@ from energyformer.data import (
     jittered_cholesky,
     kernel_matrix,
     synthetic_corpus,
-    write_regression_csv,
 )
 
 ALL_SPECS = [
@@ -270,21 +269,6 @@ def test_regression_batch_validation():
         RegressionBatch(np.zeros((3, 2)), np.zeros((3, 1)), "validation")
     with pytest.raises(DataError):
         RegressionBatch(np.full((3, 2), np.nan), np.zeros((3, 1)), "train")
-
-
-def test_csv_round_trip(tmp_path):
-    import csv as csvmod
-
-    train, test = gp_sample(GpKernelSpec("rbf"), n_points=10, seed=3, in_dim=3)
-    path = tmp_path / "data.csv"
-    write_regression_csv(path, [train, test])
-    with path.open() as fh:
-        rows = list(csvmod.reader(fh))
-    assert rows[0] == ["split", "x0", "x1", "x2", "y"]
-    assert len(rows) == 1 + 10
-    got_train = np.array([[float(c) for c in r[1:]] for r in rows[1:] if r[0] == "train"])
-    np.testing.assert_array_equal(got_train[:, :3], train.inputs)
-    np.testing.assert_array_equal(got_train[:, 3], train.targets[:, 0])
 
 
 # ---------------------------------------------------------------------------
