@@ -14,10 +14,16 @@ Two conditional energies over a token state x given a context:
   of projections and the antiderivative of silu. Its negative gradient
   is a gated two-layer perceptron.
 
+Each energy and gradient takes a stack of states x (..., D_h) scored
+against one context, so a descent trace scores all its states in one
+call; a single (D_h,) state gives a float energy and a (D_h,) gradient.
+The context projections are computed once per call, and the
+log-sum-exp is the same numpy max shift the gradient's softmax uses.
+
 Everything here is plain numpy on purpose and shares no code with the
 recurrent layers, whose steps run as fused tape nodes; tests require
 the two routes to agree to tight tolerances. The scipy.special routines
-the energies need (spence, expit, logsumexp) are imported inside the
+the element-wise energy needs (spence, expit) are imported inside the
 functions that call them, so importing the package loads no scipy:
 only the verify oracles and the energy tests evaluate an energy.
 """
@@ -142,32 +148,36 @@ class InteractionEnergySpec:
 def _check_context(x: np.ndarray, history: np.ndarray):
     x = np.asarray(x, dtype=np.float64)
     history = np.asarray(history, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"token state must be a vector, got shape {x.shape}")
+    if x.ndim < 1:
+        raise DimensionError(f"token states must be (..., D_h), got shape {x.shape}")
     if history.ndim != 2:
         raise DimensionError(f"history must be (n_ctx, D_h), got {history.shape}")
     if history.shape[0] == 0:
         raise DomainError("history must contain at least one token")
-    if history.shape[1] != x.shape[0]:
+    if history.shape[1] != x.shape[-1]:
         raise DimensionError(
-            f"state dim {x.shape[0]} does not match history dim {history.shape[1]}"
+            f"state dim {x.shape[-1]} does not match history dim {history.shape[1]}"
         )
     return x, history
 
 
 def _interaction_logits(x, history, spec: InteractionEnergySpec, query_index):
+    """Per head, (m, e, beta): the (..., 1) max of the logits over the
+    context, exp(logits - m) and the (n_ctx, D_h) context projections.
+    The max shift is shared by the log-sum-exp and the softmax."""
     n_ctx = history.shape[0]
     i = n_ctx if query_index is None else int(query_index)
     if i < n_ctx:
         raise DomainError("query index must not precede the visible history")
-    logits = []
+    heads = []
     for k in range(spec.n_heads):
         beta = spec.context_projections(history, k)  # (n_ctx, D_h)
-        a = beta @ x / spec.tau
+        a = x @ beta.T / spec.tau  # (..., n_ctx)
         if spec.alibi is not None:
             a = a + spec.alibi.bias_row(i, n_ctx, k)
-        logits.append((a, beta))
-    return logits
+        m = a.max(axis=-1, keepdims=True)
+        heads.append((m, np.exp(a - m), beta))
+    return heads
 
 
 def interaction_energy(
@@ -175,20 +185,20 @@ def interaction_energy(
     history,
     spec: InteractionEnergySpec,
     query_index: int | None = None,
-) -> float:
-    """Energy of state x against a causal history.
+):
+    """Energy of the states x (..., D_h) against one causal history.
 
     -tau * sum_k logsumexp_j( beta_{kj}.x / tau + bias_{ijk} ) over the
-    visible context j = 1..n_ctx. Lower is better; the minimizer pulls
-    x toward the dominant projected context directions.
+    visible context j = 1..n_ctx, per state: a float for a single (D_h,)
+    state, an array of shape x.shape[:-1] for a stack. Lower is better;
+    the minimizer pulls x toward the dominant projected context
+    directions.
     """
-    from scipy.special import logsumexp
-
     x, history = _check_context(x, history)
-    total = 0.0
-    for a, _ in _interaction_logits(x, history, spec, query_index):
-        total -= spec.tau * logsumexp(a)
-    return float(total)
+    total = np.zeros(x.shape[:-1])
+    for m, e, _ in _interaction_logits(x, history, spec, query_index):
+        total -= spec.tau * (m[..., 0] + np.log(e.sum(axis=-1)))
+    return float(total) if x.ndim == 1 else total
 
 
 def interaction_energy_grad(
@@ -197,18 +207,15 @@ def interaction_energy_grad(
     spec: InteractionEnergySpec,
     query_index: int | None = None,
 ) -> np.ndarray:
-    """Exact gradient d/dx of interaction_energy.
+    """Exact gradient d/dx of interaction_energy, shape of x.
 
     Per head: -sum_j softmax(a)_j * beta_{kj}; the softmax is over the
     same biased logits the energy uses.
     """
     x, history = _check_context(x, history)
     grad = np.zeros_like(x)
-    for a, beta in _interaction_logits(x, history, spec, query_index):
-        m = a.max()
-        e = np.exp(a - m)
-        p = e / e.sum()
-        grad -= p @ beta
+    for _, e, beta in _interaction_logits(x, history, spec, query_index):
+        grad -= (e / e.sum(axis=-1, keepdims=True)) @ beta
     return grad
 
 
@@ -238,26 +245,28 @@ class ElementwiseEnergySpec:
 def _check_pair(x, h, spec: ElementwiseEnergySpec):
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    if x.shape != h.shape or x.ndim != 1:
+    if x.ndim < 1 or h.ndim != 1 or x.shape[-1] != h.shape[0]:
         raise DimensionError(
-            f"x and h must be equal-length vectors, got {x.shape} and {h.shape}"
+            f"x must be (..., D_h) states of one (D_h,) h, got {x.shape} and {h.shape}"
         )
-    if x.shape[0] != spec.w.shape[1]:
+    if h.shape[0] != spec.w.shape[1]:
         raise DimensionError(
-            f"state dim {x.shape[0]} does not match projection dim {spec.w.shape[1]}"
+            f"state dim {h.shape[0]} does not match projection dim {spec.w.shape[1]}"
         )
     return x, h
 
 
-def elementwise_energy(x, h, spec: ElementwiseEnergySpec) -> float:
-    """-(w h) . phi(v x), with phi the silu antiderivative."""
+def elementwise_energy(x, h, spec: ElementwiseEnergySpec):
+    """-(w h) . phi(v x), with phi the silu antiderivative, per state of
+    x (..., D_h): a float for a single state, else x.shape[:-1]."""
     x, h = _check_pair(x, h, spec)
     gate = spec.w @ h
-    return float(-(gate @ silu_antiderivative(spec.v @ x)))
+    energy = -(silu_antiderivative(x @ spec.v.T) @ gate)
+    return float(energy) if x.ndim == 1 else energy
 
 
 def elementwise_energy_grad(x, h, spec: ElementwiseEnergySpec) -> np.ndarray:
-    """Exact gradient d/dx: -v.T @ ((w h) * silu(v x))."""
+    """Exact gradient d/dx: -v.T @ ((w h) * silu(v x)), shape of x."""
     x, h = _check_pair(x, h, spec)
     gate = spec.w @ h
-    return -(spec.v.T @ (gate * silu_np(spec.v @ x)))
+    return -((gate * silu_np(x @ spec.v.T)) @ spec.v)

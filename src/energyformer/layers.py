@@ -20,6 +20,10 @@ composed from tape primitives and has no VJP of its own. The RMS norm
 is a numpy forward/VJP pair shared by the fused steps and by its own
 one-node primitive. The composed form of the recurrent layers, which
 preconditions token rows, is kept under tests/ as their reference.
+Each recurrent layer is one generator, cem_attention_states or
+cem_mlp_states, that yields the state after every step; cem_attention
+and cem_mlp return the last one, so a descent trace reads every state
+of one run.
 
 The recurrent attention step walks causal query tiles of QUERY_TILE
 rows: tile [s0, s1) builds its logits, softmax and read-out against keys
@@ -434,14 +438,23 @@ class CemAttentionParams:
 
 
 def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
-    """Run the recurrent attention state update over a full sequence.
+    """Run the recurrent attention state update over a full sequence:
+    the final state x_T for every position, shape of h, i.e. the last
+    state cem_attention_states yields."""
+    for x in cem_attention_states(h, params):
+        pass
+    return x
+
+
+def cem_attention_states(h: Tensor, params: CemAttentionParams):
+    """Yield the states x_1, ..., x_T of the recurrent attention update.
 
     Keys and values are the same tied projection of the frozen input h,
     computed once for all heads. Each step re-projects the current
     (optionally normalised) state into queries, attends causally, maps
     the read-out back through w_q transposed and preconditioned once
-    before the steps, and adds; it records one tape node. Returns the
-    final state x_T for every position, shape of h.
+    before the steps, and adds; it records one tape node. Every state
+    has the shape of h.
     """
     d, n = h.shape[-1], h.shape[-2]
     if params.diag is not None:
@@ -454,7 +467,7 @@ def cem_attention(h: Tensor, params: CemAttentionParams) -> Tensor:
     x = h
     for _ in range(params.steps):
         x = _attention_step(x, h, kv, w_out, tiles, params)
-    return x
+        yield x
 
 
 QUERY_TILE = 64  # query rows per attention tile; at J = 256, 32 ran no faster, 128 slower
@@ -635,12 +648,20 @@ class CemMlpParams:
 
 
 def cem_mlp(h: Tensor, params: CemMlpParams) -> Tensor:
-    """Run the recurrent MLP state update rowwise over (..., D_h).
+    """Run the recurrent MLP state update rowwise over (..., D_h): the
+    final state, same shape as h, i.e. the last state cem_mlp_states
+    yields."""
+    for x in cem_mlp_states(h, params):
+        pass
+    return x
+
+
+def cem_mlp_states(h: Tensor, params: CemMlpParams):
+    """Yield the states x_1, ..., x_T of the recurrent MLP update.
 
     The gate (w h) and the read-out weight v P are computed once; each
     step gates silu(v u) with the gate, projects back through v P, and
-    adds; it records one tape node. Returns the final state, same shape
-    as h.
+    adds; it records one tape node. Every state has the shape of h.
     """
     d = h.shape[-1]
     if params.inner_norm is not None:
@@ -650,7 +671,7 @@ def cem_mlp(h: Tensor, params: CemMlpParams) -> Tensor:
     x = h
     for _ in range(params.steps):
         x = _mlp_step(x, gate, v_out, params)
-    return x
+        yield x
 
 
 def _mlp_step(x: Tensor, gate: Tensor, v_out: Tensor, params: CemMlpParams) -> Tensor:

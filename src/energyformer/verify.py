@@ -272,6 +272,11 @@ class CheckReport:
         }
 
 
+def _require_positive(what: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{what} must be >= 1, got {n}")
+
+
 def max_abs(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
@@ -286,6 +291,7 @@ def tied_equivalence_check(
     recurrent sublayers, subtract the input, and compare against the same
     sublayer of its tied reference twin.
     """
+    _require_positive("n_configs", n_configs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     worst_case = None
@@ -333,6 +339,7 @@ def single_step_consistency_check(
     Runs in pure-gradient mode. Attention checks every position i with
     history rows 1..i; the MLP checks every row independently.
     """
+    _require_positive("n_configs", n_configs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for c in range(n_configs):
@@ -386,59 +393,41 @@ def descent_trace(
 ) -> DescentTrace:
     """Iterate the pure-gradient recurrence layer; record the energy path.
 
-    The state after t steps is read off the actual layer run with its
-    step count set to t, so the trajectory is the layer's own, not a
-    re-derivation. The step size starts at eta_start and halves until
-    the energy decreases at every active step (gradient norm above
-    1e-8), which must happen for a true descent direction. flip_sign
-    negates the update, a mutant that must fail the decrease test.
+    The states x_1 .. x_steps come from one run of the layer's own
+    per-step iterator at each step size, so the trajectory is the
+    layer's, not a re-derivation; the input and those states are then
+    scored by one stacked energy call and one stacked gradient call.
+    The step size starts at eta_start and halves until the energy
+    decreases at every active step (gradient norm above 1e-8), which
+    must happen for a true descent direction. flip_sign negates the
+    update, a mutant that must fail the decrease test.
     """
+    _require_positive("steps", steps)
+    if max_halvings < 0:
+        raise ValueError(f"max_halvings must be >= 0, got {max_halvings}")
     cfg, n_ctx = random_config(seed)
     block = random_block(cfg, seed)
     if kind == "attention":
-        params = block.attn
+        params, states_of = block.attn, ly.cem_attention_states
         h = np.random.default_rng(seed + 1).normal(size=(max(n_ctx, 2), cfg.d_hidden))
+        context, energy, grad = h, en.interaction_energy, en.interaction_energy_grad
         spec = interaction_spec_of(params)
-
-        def state_after(t: int, eta: float) -> np.ndarray:
-            if t == 0:
-                return h[-1].copy()
-            params.steps, params.eta = t, eta
-            return ly.cem_attention(Tensor(h), params).data[-1]
-
-        def e_of(x):
-            return en.interaction_energy(x, h, spec)
-
-        def g_of(x):
-            return en.interaction_energy_grad(x, h, spec)
-
     elif kind == "mlp":
-        params = block.mlp
-        hvec = np.random.default_rng(seed + 1).normal(size=cfg.d_hidden)
+        params, states_of = block.mlp, ly.cem_mlp_states
+        h = np.random.default_rng(seed + 1).normal(size=(1, cfg.d_hidden))
+        context, energy, grad = h[0], en.elementwise_energy, en.elementwise_energy_grad
         spec = elementwise_spec_of(params)
-
-        def state_after(t: int, eta: float) -> np.ndarray:
-            if t == 0:
-                return hvec.copy()
-            params.steps, params.eta = t, eta
-            return ly.cem_mlp(Tensor(hvec[None, :]), params).data[0]
-
-        def e_of(x):
-            return en.elementwise_energy(x, hvec, spec)
-
-        def g_of(x):
-            return en.elementwise_energy_grad(x, hvec, spec)
-
     else:
         raise ValueError(f"unknown descent kind {kind!r}")
 
+    params.steps = steps
     eta = eta_start
     for _ in range(max_halvings + 1):
-        signed = -eta if flip_sign else eta
-        states = [state_after(t, signed) for t in range(steps + 1)]
-        energies = np.array([e_of(x) for x in states])
-        norms = np.array([float(np.linalg.norm(g_of(x))) for x in states[:-1]])
-        trace = DescentTrace(energies=energies, eta=eta, grad_norms=norms)
+        params.eta = -eta if flip_sign else eta
+        # the last token's state: the one whose whole history is visible
+        states = np.stack([h[-1]] + [x.data[-1] for x in states_of(Tensor(h), params)])
+        norms = np.linalg.norm(grad(states[:-1], context, spec), axis=-1)
+        trace = DescentTrace(energies=energy(states, context, spec), eta=eta, grad_norms=norms)
         if trace.strictly_decreasing or flip_sign:
             return trace
         eta *= 0.5
@@ -449,6 +438,8 @@ def descent_check(
     n_instances: int = 50, seed: int = 0, steps: int = 8
 ) -> CheckReport:
     """Energy must go strictly downhill along the recurrence for both kinds."""
+    _require_positive("n_instances", n_instances)
+    _require_positive("steps", steps)
     rng = np.random.default_rng(seed)
     n_fail = 0
     worst_increase = 0.0
@@ -477,6 +468,7 @@ def causality_check(
     Covers the recurrent attention at several step counts, features on
     for half the configs, and the attention of its reference twin.
     """
+    _require_positive("n_configs", n_configs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for c in range(n_configs):
@@ -564,6 +556,7 @@ def model_tied_equivalence_check(
     n_configs: int = 12, seed: int = 0, tolerance: float = 1e-10
 ) -> CheckReport:
     """Full forward passes of tied model pairs must agree."""
+    _require_positive("n_configs", n_configs)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for c in range(n_configs):
@@ -645,6 +638,7 @@ def model_directional_fd_check(
     the analytic directional derivative is the sum of per-parameter
     inner products with the tape gradients.
     """
+    _require_positive("n_instances", n_instances)
     if cfg is None:
         cfg = full_feature_config()
     rng = np.random.default_rng(seed)
@@ -705,6 +699,7 @@ def model_directional_fd_check(
 
 def untied_control_check(n_instances: int = 10, seed: int = 0) -> CheckReport:
     """Deliberately untied values must break equivalence loudly."""
+    _require_positive("n_instances", n_instances)
     rng = np.random.default_rng(seed)
     smallest = np.inf
     for _ in range(n_instances):
@@ -721,6 +716,7 @@ def untied_control_check(n_instances: int = 10, seed: int = 0) -> CheckReport:
 
 def flipped_descent_control_check(n_instances: int = 10, seed: int = 0) -> CheckReport:
     """Sign-flipped updates must fail the descent test (mutant detection)."""
+    _require_positive("n_instances", n_instances)
     rng = np.random.default_rng(seed)
     n_detected = 0
     for c in range(n_instances):

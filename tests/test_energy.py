@@ -288,6 +288,108 @@ def test_elementwise_errors():
 
 
 # ---------------------------------------------------------------------------
+# stacks of states scored against one context
+
+
+STACKS = [(), (5,), (2, 3)]  # leading axes: one (D_h,) state, (T, D_h), (a, b, D_h)
+
+
+def stacked_instance(lead, diag, seed=40_004):
+    """An interaction instance with ALiBi and a per-head or a shared
+    (broadcast, as the layers' one-row diagonal reaches the energy) K/Q
+    diagonal, its x replaced by a stack of states. The default seed
+    draws 3 heads and 6 context rows."""
+    _, history, spec = random_interaction_instance(seed, with_alibi=True, with_diag=True)
+    if diag == "shared":
+        spec = en.InteractionEnergySpec(
+            tau=spec.tau, w_q=spec.w_q, w_k=spec.w_k, alibi=spec.alibi,
+            diag=np.broadcast_to(spec.diag[:1], spec.diag.shape),
+        )
+    x = np.random.default_rng(seed + 1).normal(size=lead + history.shape[-1:])
+    return x, history, spec
+
+
+def one_state_loop(fn, x, *context):
+    """fn called on each (D_h,) state of the stack x, in x's layout."""
+    rows = [np.asarray(fn(row, *context)) for row in x.reshape(-1, x.shape[-1])]
+    return np.stack(rows).reshape(x.shape[:-1] + rows[0].shape)
+
+
+def assert_matches_loop(stacked, looped):
+    assert stacked.shape == looped.shape
+    assert np.all(np.abs(stacked - looped) <= 1e-12 * np.maximum(1.0, np.abs(looped)))
+
+
+@pytest.mark.parametrize("diag", ["per-head", "shared"])
+@pytest.mark.parametrize("lead", STACKS)
+def test_interaction_energy_of_a_stack_matches_one_state_calls(lead, diag):
+    x, history, spec = stacked_instance(lead, diag)
+    for fn in (en.interaction_energy, en.interaction_energy_grad):
+        assert_matches_loop(np.asarray(fn(x, history, spec)),
+                            one_state_loop(fn, x, history, spec))
+
+
+@pytest.mark.parametrize("lead", STACKS)
+def test_elementwise_energy_of_a_stack_matches_one_state_calls(lead):
+    _, h, spec = random_elementwise_instance(41_000)
+    x = np.random.default_rng(41_001).normal(size=lead + h.shape)
+    for fn in (en.elementwise_energy, en.elementwise_energy_grad):
+        assert_matches_loop(np.asarray(fn(x, h, spec)), one_state_loop(fn, x, h, spec))
+
+
+def test_one_state_keeps_its_return_types():
+    x, history, spec = stacked_instance((), "per-head")
+    assert type(en.interaction_energy(x, history, spec)) is float
+    grad = en.interaction_energy_grad(x, history, spec)
+    assert isinstance(grad, np.ndarray) and grad.shape == x.shape
+    x, h, ew = random_elementwise_instance(42)
+    assert type(en.elementwise_energy(x, h, ew)) is float
+    grad = en.elementwise_energy_grad(x, h, ew)
+    assert isinstance(grad, np.ndarray) and grad.shape == x.shape
+    stack = np.stack([x, h])
+    assert en.elementwise_energy(stack, h, ew).shape == (2,)
+
+
+def test_stacked_shape_errors():
+    x, history, spec = stacked_instance((3,), "per-head")
+    for fn in (en.interaction_energy, en.interaction_energy_grad):
+        with pytest.raises(DimensionError):
+            fn(np.zeros((3, x.shape[-1] + 1)), history, spec)
+        for bad_history in (history[0], history[None]):
+            with pytest.raises(DimensionError):
+                fn(x, bad_history, spec)
+        with pytest.raises(DimensionError):
+            fn(np.float64(1.0), history, spec)
+    _, h, ew = random_elementwise_instance(43)
+    for fn in (en.elementwise_energy, en.elementwise_energy_grad):
+        with pytest.raises(DimensionError):
+            fn(np.zeros((3, h.shape[0] + 1)), h, ew)
+        with pytest.raises(DimensionError):
+            fn(np.zeros((3, h.shape[0])), np.stack([h, h]), ew)
+        with pytest.raises(DimensionError):
+            fn(np.zeros((3, h.shape[0] + 1)), np.zeros(h.shape[0] + 1), ew)
+
+
+@pytest.mark.parametrize("lead", STACKS)
+def test_stacked_interaction_energy_matches_scipy_and_bruteforce(lead):
+    from scipy.special import logsumexp
+
+    x, history, spec = stacked_instance(lead, "per-head")
+    got = np.asarray(en.interaction_energy(x, history, spec))
+    bias = materialized_bias(spec, history.shape[0])
+    heads = [spec.head_matrix(k) for k in range(spec.n_heads)]
+    via_scipy = -spec.tau * sum(
+        logsumexp(x @ (history @ heads[k].T).T / spec.tau + bias[k], axis=-1)
+        for k in range(spec.n_heads)
+    )
+    npt.assert_allclose(got, via_scipy, rtol=1e-12, atol=1e-12)
+    brute = one_state_loop(
+        lambda row: interaction_energy_bruteforce(row, history, heads, spec.tau, bias=bias), x
+    )
+    assert rel_error(got, brute) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # tape-composed energy agrees with the analytic module and finite differences
 
 

@@ -1,5 +1,6 @@
 """Layer semantics: tying, energy consistency, descent, causality, preconditioners."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +231,109 @@ def test_flipped_sign_ascends():
         assert trace.energies[-1] > trace.energies[0]
 
 
+# (kind, seed, eta_start) -> the step size descent_trace settles on, and
+# the energies of the plain and the sign-flipped trace, recorded when each
+# state still came from a fresh layer run and a scalar energy call
+PINNED_TRACES = {
+    ("attention", 1, 1e-2): (1e-2, [
+        -8.232089440247822, -8.246776344157398, -8.261627069339857,
+        -8.276644572531435, -8.29183188977884, -8.307192139450809,
+        -8.322728525381754, -8.33844434015331, -8.354342968519921,
+    ], [
+        -8.232089440247822, -8.217483799355422, -8.203039393918118,
+        -8.188753372866264, -8.174622958422338, -8.160645443443403,
+        -8.146818188876567, -8.133138621322455, -8.119604230702016,
+    ]),
+    ("attention", 4, 1e-2): (1e-2, [
+        -12.352618610709385, -12.537991194942995, -12.728179097084677,
+        -12.923243847529559, -13.123238090038905, -13.32820495424769,
+        -13.53817751209256, -13.75317833296618, -13.973219150557847,
+    ], [
+        -12.352618610709385, -12.169647599522502, -11.99146190304696,
+        -11.817978835811655, -11.649108972268241, -11.48475701524881,
+        -11.324822664365271, -11.169201469675288, -11.017785657931611,
+    ]),
+    ("mlp", 4, 1e-2): (1e-2, [
+        0.13259341321644635, 0.09326398857968832, 0.053668443882321615,
+        0.013789324385857116, -0.02639066798551082, -0.0668886987154872,
+        -0.10772182409022113, -0.14890701397365014, -0.19046117401796636,
+    ], [
+        0.13259341321644635, 0.1717942054623285, 0.21074665079336496,
+        0.24946855500629073, 0.28797793793293125, 0.3262930598140841,
+        0.36443244857263424, 0.40241492805573587, 0.4402596473196394,
+    ]),
+    ("mlp", 9, 2.0): (1.0, [
+        -2.749233780124928, -3.2173152900763444, -4.27163370209734,
+        -11.978345703534025, -62.66158830296944, -384.26451082891094,
+        -2421.031410692433, -15354.68808955883, -97382.82213347085,
+    ], [
+        -2.749233780124928, 4.022873925784855, 174.65369404417197,
+        4668.601710809566, 127326.05931747725, 3531186.182093886,
+        98801345.26030615, 2777561933.617608, 78286587742.539,
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind, seed, eta_start", list(PINNED_TRACES))
+def test_descent_traces_are_pinned(kind, seed, eta_start):
+    eta, energies, flipped_energies = PINNED_TRACES[kind, seed, eta_start]
+    trace = vf.descent_trace(kind, seed, eta_start=eta_start)
+    flipped = vf.descent_trace(kind, seed, eta_start=eta_start, flip_sign=True)
+    assert (trace.eta, trace.strictly_decreasing) == (eta, True)
+    assert (flipped.eta, flipped.strictly_decreasing) == (eta_start, False)
+    for got, want in ((trace.energies, energies), (flipped.energies, flipped_energies)):
+        want = np.asarray(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("kind, seed, eta_start", list(PINNED_TRACES))
+def test_descent_trace_runs_one_step_per_state_and_attempt(monkeypatch, kind, seed, eta_start):
+    calls = []
+
+    def counted(step):
+        def call(*args):
+            calls.append(step)
+            return step(*args)
+        return call
+
+    for name in ("_attention_step", "_mlp_step"):
+        monkeypatch.setattr(ly, name, counted(getattr(ly, name)))
+    trace = vf.descent_trace(kind, seed, steps=8, eta_start=eta_start)
+    attempts = 1 + round(np.log2(eta_start / trace.eta))
+    assert len(calls) == 8 * attempts
+    calls.clear()
+    vf.descent_trace(kind, seed, steps=8, eta_start=eta_start, flip_sign=True)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda s: vf.descent_trace("attention", 3, steps=s), id="trace"),
+    pytest.param(lambda s: vf.descent_trace("mlp", 4, steps=s, flip_sign=True), id="flipped-trace"),
+    pytest.param(lambda s: vf.descent_check(n_instances=2, steps=s), id="descent-check"),
+])
+def test_descent_without_steps_raises(run, steps):
+    with pytest.raises(ValueError, match="steps"):
+        run(steps)
+
+
+def test_descent_trace_without_attempts_raises():
+    # with no step size tried there is no trace to return
+    with pytest.raises(ValueError, match="max_halvings"):
+        vf.descent_trace("attention", 3, max_halvings=-1)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("name", sorted(n for n in dir(vf) if n.endswith("_check")))
+def test_check_without_cases_raises(name, count):
+    # a check over no cases would pass without checking anything
+    check = getattr(vf, name)
+    arg = next(iter(inspect.signature(check).parameters))
+    assert arg in ("n_configs", "n_instances")
+    with pytest.raises(ValueError, match=arg):
+        check(**{arg: count})
+
+
 def test_zero_gate_mlp_is_stationary():
     # zero gate projection kills the gradient, so the recurrence must not
     # move and a flat trace counts as converged rather than a failure
@@ -319,6 +423,31 @@ def test_cem_attention_multistep_refreshes_queries_not_keys():
         p = z / z.sum(axis=-1, keepdims=True)
         x = x + eta * (p @ kv) @ wq
     npt.assert_allclose(got, x, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["tape-off", "tape-on"])
+@pytest.mark.parametrize("sub", ["attn", "mlp"])
+def test_state_iterator_yields_each_step_count_bit_for_bit(sub, taped):
+    block = features_on(840, attn_steps=4, mlp_steps=4, learnable_eta=True)
+    params = getattr(block, sub)
+    states_of, layer = {
+        "attn": (ly.cem_attention_states, ly.cem_attention),
+        "mlp": (ly.cem_mlp_states, ly.cem_mlp),
+    }[sub]
+    h = Tensor(np.random.default_rng(841).normal(size=(2, 5, block.attn.w_q.shape[2])))
+
+    def run(fn):
+        if not taped:
+            return fn()
+        with Tape() as tape:
+            tape.watch(h, *named_tensors(params).values())
+            return fn()
+
+    states = [x.data for x in run(lambda: list(states_of(h, params)))]
+    assert len(states) == 4
+    for t, state in enumerate(states, start=1):
+        npt.assert_array_equal(state, run(lambda: layer(h, replace(params, steps=t))).data)
+    npt.assert_array_equal(states[-1], run(lambda: layer(h, params)).data)
 
 
 # ---------------------------------------------------------------------------
