@@ -39,6 +39,15 @@ The reference attention stays dense: it is the oracle.
 Off the tape, the MLP step runs silu and the gate product in place in
 its up-projection.
 
+On the tape, each step's node keeps only what its VJP cannot rebuild
+without a matmul. The MLP step keeps a = u v^T and s = sigmoid(a); its
+VJP rebuilds z = a s and m = gate z with the forward's own operations,
+so they come out bit for bit the same. With the inner norm on, both
+steps keep y = x r, r and the gain read at forward time, and rebuild
+u = y gain; rms_vjp uses that same gain, so assigning a new gain array
+between forward and backward changes no gradient. A VJP writes into
+nothing it saved, so Tape.backward stays repeatable.
+
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
 (rows_out, D_h) and applied as h @ W.T. Attention keeps every head in
@@ -162,19 +171,28 @@ def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
 
 
 def _normalised_state(x: np.ndarray, norm: RmsNormParams | None):
-    """(u, y, r): the state a recursion step reads, and what rms_vjp needs."""
+    """(u, saved): the state a recursion step reads, and the (y, r, gain)
+    that rebuild u and feed rms_vjp, None without a norm. The gain is read
+    here, at forward time, as the rmsnorm primitive reads it."""
     if norm is None:
-        return x, None, None
-    return rms_forward(x, norm.gain.data, norm.eps)
+        return x, None
+    gain = norm.gain.data
+    u, y, r = rms_forward(x, gain, norm.eps)
+    return u, (y, r, gain)
+
+
+def _rebuilt_state(x: np.ndarray, saved) -> np.ndarray:
+    """_normalised_state's u again: rms_forward's own product, so the same bits."""
+    return x if saved is None else saved[0] * saved[2]
 
 
 def _add_state_cotangent(grads: _Cotangents, x: Tensor, g_u: np.ndarray,
-                         norm: RmsNormParams | None, y, r) -> None:
+                         norm: RmsNormParams | None, saved) -> None:
     """Route the cotangent of _normalised_state's u back to x and the gain."""
-    if norm is None:
+    if saved is None:
         grads.add(x, g_u)
     else:
-        g_x, g_gain = rms_vjp(g_u, y, r, norm.gain.data)
+        g_x, g_gain = rms_vjp(g_u, *saved)
         grads.add(x, g_x)
         grads.add(norm.gain, g_gain)
 
@@ -531,7 +549,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
     xd, hd, w_q, kvd = x.data, h.data, params.w_q.data, kv.data
     w_cat = w_out.data.reshape(-1, w_q.shape[2])  # every head side by side: (K*D_r, D_h)
     w_qt = (w_q * inv_tau).reshape(w_cat.shape)
-    u, y, r = _normalised_state(xd, norm)
+    u, saved = _normalised_state(xd, norm)
     h_t = np.swapaxes(hd, -1, -2)
     n_diag = 0 if diag is None else diag.shape[0]  # one row shared, or one per head
     diag_t = None if diag is None else diag.data * inv_tau
@@ -560,6 +578,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
     out += xd  # xd + upd * eta: addition commutes exactly
 
     def vjp(c):
+        u = _rebuilt_state(xd, saved)
         grads = _Cotangents()
         grads.add(x, c)
         if isinstance(params.eta, Tensor):
@@ -611,7 +630,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
             grads.add(h, g_h)
         grads.add(kv, g_kv)
         grads.add(params.w_q, g_wq)
-        _add_state_cotangent(grads, x, g_u, norm, y, r)
+        _add_state_cotangent(grads, x, g_u, norm, saved)
         return grads.ordered(parents)
 
     return record(out, tuple(parents), vjp)
@@ -688,16 +707,13 @@ def _mlp_step(x: Tensor, gate: Tensor, v_out: Tensor, params: CemMlpParams) -> T
         parents.append(params.eta)
 
     xd, v, v_o = x.data, params.v.data, v_out.data
-    u, y, r = _normalised_state(xd, norm)
+    u, saved = _normalised_state(xd, norm)
     a = u @ v.T
-    if recording(parents):
-        z, s = silu_forward(a)
-        m = gate.data * z
-    else:
-        # no VJP will read a, s or z: a becomes silu(a), then the gate product
-        z, s = silu_forward(a, out=a)
-        m = np.multiply(z, gate.data, out=z)
-        a = s = z = None
+    keep = recording(parents)  # only then does a VJP read a and s
+    z, s = silu_forward(a, out=None if keep else a)
+    m = np.multiply(z, gate.data, out=z)  # the VJP rebuilds z and m from a and s
+    if not keep:
+        s = None  # off the tape z and m overwrote a; free the sigmoid before the read-out
     step = m @ v_o
     # only a learnable eta's cotangent reads step; otherwise it becomes out
     out = step * eta if isinstance(params.eta, Tensor) else np.multiply(step, eta, out=step)
@@ -710,13 +726,15 @@ def _mlp_step(x: Tensor, gate: Tensor, v_out: Tensor, params: CemMlpParams) -> T
             grads.add(params.eta, np.sum(c * step))
         g_step = c * eta
         g_m = g_step @ v_o.T
+        z = a * s  # the forward's own operations, so the same bits
         grads.add(gate, g_m * z)
+        m = np.multiply(z, gate.data, out=z)
+        grads.add(v_out, _outer_rows(m, g_step))
         g_m *= gate.data
         g_a = silu_vjp(g_m, a, s)
-        grads.add(v_out, _outer_rows(m, g_step))
-        grads.add(params.v, _outer_rows(g_a, u))
+        grads.add(params.v, _outer_rows(g_a, _rebuilt_state(xd, saved)))
         g_u = g_a @ v
-        _add_state_cotangent(grads, x, g_u, norm, y, r)
+        _add_state_cotangent(grads, x, g_u, norm, saved)
         return grads.ordered(parents)
 
     return record(out, tuple(parents), vjp)

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import model as md
+from .data import DataError
 from .tensor import Tape, Tensor, clip_by_global_norm
 
 if TYPE_CHECKING:
@@ -192,6 +193,12 @@ def train_loop(
     eval_fn(model) returns a metric dict; it runs once, after the last
     step. A non-finite loss aborts after dumping the not-yet-updated
     parameters as the last-good checkpoint.
+
+    One step's graph is alive at a time: the loss that roots it is
+    dropped once its gradients are read, so the next step's forward, the
+    eval and the checkpoint run without it. The heap keeps its high-water
+    mark (see tensor.py), so a second graph held across a step boundary
+    would stay in the resident set for the rest of the run.
     """
     cfg.validate()
     params = md.named_parameters(model)
@@ -223,6 +230,7 @@ def train_loop(
                         "parameters before this step were saved"
                     )
                 grad_tensors = tape.backward(loss)
+            del loss  # the root of this step's graph, which must not outlive the step
             grads = {name: np.asarray(grad_tensors[p].data) for name, p in params.items()}
             norm = clip_gradients(grads, cfg.clip)
             adamw_step(params, grads, state, cfg)
@@ -268,6 +276,10 @@ def lm_loss(model: md.Model, windows: np.ndarray) -> Tensor:
 def lm_eval(model: md.Model, windows: np.ndarray, batch_size: int = 64):
     """Mean held-out cross entropy and perplexity over fixed windows."""
     windows = np.asarray(windows)
+    if len(windows) == 0:
+        raise DataError("lm_eval got an empty window set: no tokens to average over")
+    if batch_size < 1:
+        raise DataError(f"lm_eval batch_size must be >= 1, got {batch_size}")
     total, count = 0.0, 0
     for start in range(0, windows.shape[0], batch_size):
         chunk = windows[start : start + batch_size]

@@ -10,6 +10,7 @@ input's gradient to 1e-10, relative to that gradient's largest entry.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from energyformer import tensor as tt
 from energyformer import verify as vf
 from energyformer.model import named_parameters, named_tensors
 from energyformer.tensor import DimensionError, DomainError, Tape, Tensor, mul, record, tsum
-from energyformer.train import lm_loss
+from energyformer.train import OptimConfig, lm_eval, lm_loss, train_loop
 
 FWD_TOL = 1e-12
 GRAD_TOL = 1e-10
@@ -230,10 +231,20 @@ def test_one_tape_node_per_recursion_step(steps):
         assert _recorded_ops(out) == steps + frozen
 
 
-def lm_smoke(steps=2):
+def lm_smoke(steps=2, **fields):
     cfg = md.preset("lm-smoke")
-    block = dataclasses.replace(cfg.block, attn_steps=steps, mlp_steps=steps)
+    block = dataclasses.replace(cfg.block, attn_steps=steps, mlp_steps=steps, **fields)
     return md.build_model(dataclasses.replace(cfg, block=block), seed=0)
+
+
+def traced_peak(fn) -> int:
+    """Peak traced allocation while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tape_step(model, windows):
@@ -272,18 +283,83 @@ def test_preconditioners_never_see_a_token_row(steps, monkeypatch):
 
 
 def test_lm_smoke_training_step_peak_memory():
-    # 44.0 MB. Keeping each head's (8, 64, 64) preconditioner input for the
-    # attention VJP, and each step's update apart from its output, took
-    # 52.7; add and sub keeping their operands, not just their shapes, 47.4
+    # 34.6 MB. Each MLP step keeping z = silu(a) and m = gate z beside a
+    # and s, and both fused steps keeping u = y gain beside y, took 44.0;
+    # keeping each head's (8, 64, 64) preconditioner input for the
+    # attention VJP, and each step's update apart from its output, 52.7;
+    # add and sub keeping their operands, not just their shapes, 47.4
     model = lm_smoke()
     windows = np.random.default_rng(4).integers(0, 256, size=(8, 65))
-    tracemalloc.start()
-    try:
-        tape_step(model, windows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 48e6
+    assert traced_peak(lambda: tape_step(model, windows)) < 40e6
+
+
+def test_lm_smoke_training_step_peak_memory_at_eight_steps():
+    # 91.8 MB, about 10 MB per recursion step past the first: every step's
+    # node keeps its intermediates until the backward. Keeping z, m and u
+    # as well took 132.7
+    model = lm_smoke(steps=8)
+    windows = np.random.default_rng(4).integers(0, 256, size=(8, 65))
+    assert traced_peak(lambda: tape_step(model, windows)) < 100e6
+
+
+def test_lm_smoke_train_loop_with_eval_peak_memory():
+    # 44.1 MB over three steps and a 64-window eval. Holding the previous
+    # step's graph while the next one was built, and the last one through
+    # the eval, took 81.6
+    model = lm_smoke()
+    rng = np.random.default_rng(4)
+    windows, held_out = rng.integers(0, 256, size=(8, 65)), rng.integers(0, 256, size=(64, 65))
+    cfg = OptimConfig(total_steps=3, batch_size=8)
+    peak = traced_peak(lambda: train_loop(
+        model, itertools.repeat(windows), cfg, lm_loss, lambda m: lm_eval(m, held_out)))
+    assert peak < 56e6
+
+
+def test_lm_smoke_backward_is_repeatable():
+    # the fused VJPs rebuild z, m and u from the arrays their nodes saved;
+    # one that wrote into a saved array would change a second backward.
+    # Gains start at one, where u = y gain equals y, so they are drawn
+    model = lm_smoke(learnable_eta=True)
+    rng = np.random.default_rng(4)
+    for name, p in named_parameters(model).items():
+        if name.endswith(".gain"):
+            p.data = rng.uniform(0.5, 1.5, size=p.shape)
+    params = list(named_parameters(model).values())
+    windows = rng.integers(0, 256, size=(8, 65))
+    with Tape() as tape:
+        tape.watch(*params)
+        loss = lm_loss(model, windows)
+    first, second = tape.backward(loss), tape.backward(loss)
+    for p in params:
+        assert first[p].data.tobytes() == second[p].data.tobytes()
+
+
+@pytest.mark.parametrize("layer_fn, sublayer", [(ly.cem_attention, "attn"), (ly.cem_mlp, "mlp")])
+def test_fused_steps_use_the_inner_norm_gain_of_the_forward(layer_fn, sublayer):
+    # as the rmsnorm primitive does; reading the gain at backward time moved
+    # the input gradient by up to 22.9 (attention) and 13.6 (MLP) here
+    cfg = md.BlockConfig(d_hidden=8, n_heads=2, d_mlp=16, attn_steps=2, mlp_steps=2,
+                         inner_norm=True)
+    params = getattr(vf.random_block(cfg, 3), sublayer)
+    gain = params.inner_norm.gain
+    rng = np.random.default_rng(3)
+    h, cotangent = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
+
+    def grads(backward_gain):
+        with Tape() as tape:
+            tape.watch(h, gain)
+            loss = tsum(mul(layer_fn(h, params), cotangent))
+        forward_gain, gain.data = gain.data, backward_gain
+        try:
+            got = tape.backward(loss)
+        finally:
+            gain.data = forward_gain
+        return got[h].data, got[gain].data
+
+    want = grads(gain.data)
+    got = grads(gain.data + 1.0)
+    for w, g in zip(want, got):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_lm_smoke_backward_copies_at_most_one_gradient_per_parameter(monkeypatch):

@@ -4,13 +4,14 @@ interpolation oracle."""
 
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
 from scipy.interpolate import Akima1DInterpolator
 
 from energyformer.cli import TASK_KEYS
-from energyformer.data import GpKernelSpec, gp_sample
+from energyformer.data import DataError, GpKernelSpec, gp_sample
 from energyformer.model import (
     BlockConfig,
     ModelConfig,
@@ -319,6 +320,37 @@ def test_nan_loss_aborts_with_checkpoint(tmp_path):
     reloaded = load_checkpoint(tmp_path / "model.bin")
     for name, t in named_parameters(model).items():
         np.testing.assert_array_equal(t.data, named_parameters(reloaded)[name].data)
+
+
+def test_train_loop_holds_one_step_graph_at_a_time():
+    # the loss roots its step's graph; holding it kept step k - 1's graph
+    # alive while step k built its own, and the last one through the eval
+    model, train, test, ocfg, stream = _tiny_regression_setup(steps=3)
+    losses, alive = [], []  # weakrefs to each step's loss array
+
+    def loss_fn(m, batch):
+        alive.append(bool(losses) and losses[-1]() is not None)
+        loss = regression_loss(m, batch)
+        losses.append(weakref.ref(loss.data))
+        return loss
+
+    def eval_fn(m):
+        alive.append(losses[-1]() is not None)
+        return regression_eval(m, [test])
+
+    train_loop(model, stream, ocfg, loss_fn=loss_fn, eval_fn=eval_fn)
+    assert alive == [False, False, False, False]
+
+
+@pytest.mark.parametrize("n_windows, batch_size, match", [
+    (0, 64, "empty window set"), (2, 0, "batch_size"), (2, -1, "batch_size"),
+])
+def test_lm_eval_without_windows_raises(n_windows, batch_size, match):
+    # each evaluated no window: ZeroDivisionError, or range()'s ValueError at 0
+    model = build_model(ModelConfig(kind="lm", vocab_size=256, n_layers=1,
+                                    block=BlockConfig(d_hidden=16, n_heads=2, d_mlp=32)), seed=0)
+    with pytest.raises(DataError, match=match):
+        lm_eval(model, np.zeros((n_windows, 33), dtype=np.int64), batch_size=batch_size)
 
 
 def test_small_lm_run_reduces_loss():
