@@ -21,7 +21,9 @@ policy once: blocks up to 32 MiB come from the heap, trimmed only above
 1 GiB free. The process keeps its heap at its high-water mark instead of
 returning each forward's freed temporaries to the kernel and faulting
 them back in on the next step (getrusage's ru_minflt counts those
-faults). Without glibc's mallopt this does nothing.
+faults). It also caps malloc at one arena, so threads (lm_eval's eval
+workers) share that one heap rather than each keeping an arena at its
+own high-water mark. Without glibc's mallopt this does nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ if _mallopt is not None:  # musl's returns 0 and changes nothing
     _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's ceiling for its dynamic one
     _mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    _mallopt(-8, 1)  # M_ARENA_MAX: threads share the one heap, not an arena each
 
 
 class DimensionError(ValueError):

@@ -10,8 +10,10 @@ and reads off its exact minimum among the knots and critical points.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -273,20 +275,59 @@ def lm_loss(model: md.Model, windows: np.ndarray) -> Tensor:
     return md.cross_entropy(md.forward(model, windows[:, :-1]), windows[:, 1:])
 
 
+def eval_workers() -> int:
+    """Threads lm_eval spreads each batch over: usable CPUs per BLAS thread.
+
+    The BLAS thread count is the first of OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS and OMP_NUM_THREADS that is set. Unset, BLAS may
+    already use every core, so one worker.
+    """
+    blas = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                         "OMP_NUM_THREADS") if os.environ.get(v)), "")
+    if not blas.isdigit() or int(blas) < 1:
+        return 1  # unset or unreadable: BLAS picks its own count
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, (cpus or 1) // int(blas))
+
+
 def lm_eval(model: md.Model, windows: np.ndarray, batch_size: int = 64):
-    """Mean held-out cross entropy and perplexity over fixed windows."""
+    """Mean held-out cross entropy and perplexity over fixed windows.
+
+    At most batch_size windows are in flight at once. Each batch splits
+    into one contiguous group per eval_workers() thread; the groups'
+    tape-off forwards run concurrently (their ufunc loops and BLAS calls
+    release the GIL) and the logits join in window order, so the loss is
+    bit-identical for any worker count. Pool threads have no tape, so
+    they never record, and every group runs under the caller's numpy
+    error state.
+    """
     windows = np.asarray(windows)
+    if windows.ndim != 2 or windows.dtype.kind not in "iu" or windows.shape[1] < 2:
+        raise DataError("lm_eval needs a 2-D integer array of windows of >= 2 tokens, "
+                        f"got {windows.dtype} of shape {windows.shape}")
     if len(windows) == 0:
         raise DataError("lm_eval got an empty window set: no tokens to average over")
     if batch_size < 1:
         raise DataError(f"lm_eval batch_size must be >= 1, got {batch_size}")
+    workers, err = eval_workers(), np.geterr()
+
+    def forward(inputs):
+        with np.errstate(**err):  # a new thread starts under numpy's defaults
+            return md.forward(model, inputs).data
+
     total, count = 0.0, 0
-    for start in range(0, windows.shape[0], batch_size):
-        chunk = windows[start : start + batch_size]
-        loss = float(lm_loss(model, chunk).data)
-        tokens = chunk.shape[0] * (chunk.shape[1] - 1)
-        total += loss * tokens
-        count += tokens
+    # the calling thread runs the first group; the pool starts no thread for one worker
+    with concurrent.futures.ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        for start in range(0, windows.shape[0], batch_size):
+            chunk = windows[start : start + batch_size]
+            head, *rest = np.array_split(chunk[:, :-1], min(workers, len(chunk)))
+            futures = [pool.submit(forward, group) for group in rest]
+            parts = [forward(head)] + [future.result() for future in futures]
+            logits = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            loss = float(md.cross_entropy(Tensor(logits), chunk[:, 1:]).data)
+            tokens = chunk.shape[0] * (chunk.shape[1] - 1)
+            total += loss * tokens
+            count += tokens
     mean = total / count
     return {"loss": mean, "perplexity": float(np.exp(mean))}
 

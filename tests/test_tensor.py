@@ -586,13 +586,25 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
-def test_tape_off_forward_does_not_fault_its_heap_back_in():
+def faults_per_eval(**env) -> float:
     # a fresh interpreter: how much heap a process already holds decides
-    # whether glibc trims it. With its default policy each 4x256 forward
-    # faults about 7.5k pages back in after the last one's were returned
+    # whether glibc trims it
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300, check=True)
-    assert float(proc.stdout) < 500
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=300, check=True)
+    return float(proc.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
+def test_tape_off_forward_does_not_fault_its_heap_back_in():
+    # with glibc's default policy each 4x256 forward faults about 7.5k
+    # pages back in after the last one's were returned
+    assert faults_per_eval() < 500
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc policy")
+def test_threaded_eval_does_not_fault_its_heap_back_in():
+    # one BLAS thread on a multi-core host spreads lm_eval over worker
+    # threads; they share the one heap and its high-water mark
+    assert faults_per_eval(OPENBLAS_NUM_THREADS="1") < 500

@@ -4,12 +4,16 @@ interpolation oracle."""
 
 import itertools
 import json
+import os
+import threading
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 from scipy.interpolate import Akima1DInterpolator
 
+from energyformer import model as md
 from energyformer.cli import TASK_KEYS
 from energyformer.data import DataError, GpKernelSpec, gp_sample
 from energyformer.model import (
@@ -18,8 +22,9 @@ from energyformer.model import (
     build_model,
     load_checkpoint,
     named_parameters,
+    preset,
 )
-from energyformer.tensor import Tensor, global_norm
+from energyformer.tensor import DomainError, Tensor, global_norm
 from energyformer.train import (
     AdamState,
     InterpolationError,
@@ -29,6 +34,7 @@ from energyformer.train import (
     akima_interpolate,
     clip_gradients,
     estimate_lr_optimum,
+    eval_workers,
     init_adam_state,
     lm_eval,
     lm_loss,
@@ -351,6 +357,80 @@ def test_lm_eval_without_windows_raises(n_windows, batch_size, match):
                                     block=BlockConfig(d_hidden=16, n_heads=2, d_mlp=32)), seed=0)
     with pytest.raises(DataError, match=match):
         lm_eval(model, np.zeros((n_windows, 33), dtype=np.int64), batch_size=batch_size)
+
+
+@pytest.mark.parametrize("attention, windows", [
+    ("none", np.zeros((3, 1), dtype=np.int64)),  # was ZeroDivisionError after a warning
+    ("cem", np.zeros((3, 1), dtype=np.int64)),  # was DomainError about attention
+    ("cem", np.zeros(33, dtype=np.int64)),  # was IndexError
+    ("cem", np.zeros((3, 33, 1), dtype=np.int64)),
+    ("cem", np.zeros((3, 33))),
+    ("cem", np.zeros((3, 33), dtype=bool)),
+])
+def test_lm_eval_rejects_windows_it_cannot_score(attention, windows):
+    model = build_model(ModelConfig(kind="lm", vocab_size=256, n_layers=1, block=BlockConfig(
+        d_hidden=16, n_heads=2, d_mlp=32, attention=attention)), seed=0)
+    with pytest.raises(DataError, match="2-D integer array of windows of >= 2 tokens"):
+        lm_eval(model, windows)
+
+
+def set_eval_workers(monkeypatch, n):
+    # the worker rule's inputs: n usable CPUs, one BLAS thread each
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert eval_workers() == n
+
+
+def test_lm_eval_is_bit_identical_for_any_worker_count(monkeypatch):
+    model = build_model(preset("lm-smoke"), seed=0)
+    windows = np.random.default_rng(0).integers(0, 256, size=(5, 33))
+    # the single-thread formula: token-weighted lm_loss over batches of 4 and 1
+    chunks = [windows[:4], windows[4:]]
+    tokens = [len(c) * 32 for c in chunks]
+    expected = sum(float(lm_loss(model, c).data) * t for c, t in zip(chunks, tokens)) / 160
+    forward, calls = md.forward, []
+
+    def spy(m, inputs):
+        calls.append((threading.get_ident(), len(inputs)))
+        return forward(m, inputs)
+
+    monkeypatch.setattr(md, "forward", spy)
+    for n, groups in [(1, [1, 4]), (2, [1, 2, 2]), (3, [1, 1, 1, 2])]:
+        set_eval_workers(monkeypatch, n)
+        calls.clear()
+        out = lm_eval(model, windows, batch_size=4)
+        assert out["loss"] == expected and out["perplexity"] == float(np.exp(expected))
+        assert sorted(size for _, size in calls) == groups  # the threads finish in any order
+        # the calling thread runs each batch's first group, pool threads the rest
+        caller = threading.get_ident()
+        assert sum(thread == caller for thread, _ in calls) == len(chunks)
+
+
+def test_lm_eval_workers_keep_the_callers_error_state(monkeypatch):
+    set_eval_workers(monkeypatch, 2)
+    model = build_model(preset("lm-smoke"), seed=0)
+    # only the second window, which a pool thread runs, overflows its mean square
+    model.embed.data[1] *= 1e200
+    windows = np.stack([np.zeros(33, dtype=np.int64), np.ones(33, dtype=np.int64)])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite mean square"):
+            lm_eval(model, windows)
+
+
+def test_eval_workers_divides_the_cpus_by_the_blas_threads(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert eval_workers() == 1  # unset: BLAS may already use every core
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert eval_workers() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert eval_workers() == 1  # OPENBLAS_NUM_THREADS comes first
+    for unreadable in ("0", "many"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", unreadable)
+        assert eval_workers() == 1
 
 
 def test_small_lm_run_reduces_loss():
