@@ -29,8 +29,9 @@ The recurrent attention step walks causal query tiles of QUERY_TILE
 rows: tile [s0, s1) builds its logits, softmax and read-out against keys
 [0, s1) only, so the masked keys past its last row are never touched,
 and heads run inside each query tile. ALiBi and the causal mask are one
-additive constant per tile, added to the logits in place, and the
-softmax overwrites them. At J = 256 that is 10 of the 16 64x64 blocks.
+additive constant per tile, added to the logits in place, and their
+exponential overwrites them; each head normalises its read-out, not its
+probabilities. At J = 256 that is 10 of the 16 64x64 blocks.
 1/tau is folded once into the query weights and the K/Q diagonal, so
 the logits come out scaled; the composed layer scales them afterwards,
 so even at one tile the two agree to rounding rather than bit for bit.
@@ -39,14 +40,17 @@ The reference attention stays dense: it is the oracle.
 Off the tape, the MLP step runs silu and the gate product in place in
 its up-projection.
 
-On the tape, each step's node keeps only what its VJP cannot rebuild
-without a matmul. The MLP step keeps a = u v^T and s = sigmoid(a); its
-VJP rebuilds z = a s and m = gate z with the forward's own operations,
-so they come out bit for bit the same. With the inner norm on, both
-steps keep y = x r, r and the gain read at forward time, and rebuild
-u = y gain; rms_vjp uses that same gain, so assigning a new gain array
-between forward and backward changes no gradient. A VJP writes into
-nothing it saved, so Tape.backward stays repeatable.
+On the tape, the attention step's node keeps only arrays linear in J:
+qs, the read-outs and one log-sum-exp per row and head. Its VJP walks
+the same tiles and rebuilds their constants from the ALiBi offsets read
+at forward time, their logits with the forward's matmuls, and the
+probabilities as exp(logits - lse). The MLP step keeps a = u v^T and s =
+sigmoid(a); its VJP rebuilds z = a s and m = gate z with the forward's
+own operations, so they come out bit for bit the same. With the inner
+norm on, both steps keep y = x r, r and the gain read at forward time,
+and rebuild u = y gain; rms_vjp uses that same gain. So assigning new
+gain or offset arrays between forward and backward changes no gradient.
+A VJP writes into nothing it saved, so Tape.backward stays repeatable.
 
 All shapes follow the row convention: sequences are (..., J, D_h) with
 any number of leading batch axes, projection matrices are stored as
@@ -71,6 +75,7 @@ from .tensor import (
     DomainError,
     Tensor,
     add,
+    exp_shifted,
     matmul,
     mul,
     record,
@@ -79,7 +84,6 @@ from .tensor import (
     silu,
     silu_forward,
     silu_vjp,
-    softmax_forward,
     softmax_lastdim,
     softmax_vjp,
     softplus,
@@ -154,12 +158,13 @@ def rms_forward(x: np.ndarray, gain: np.ndarray, eps: float):
 
 def rms_vjp(g: np.ndarray, y: np.ndarray, r: np.ndarray, gain: np.ndarray):
     """Cotangents (x, gain) of rms_forward, from its saved y and r:
-    g_x = r (g gain - y mean(g gain y))."""
-    gy = g * gain
-    g_x = y * (gy * y).mean(axis=-1, keepdims=True)
-    np.subtract(gy, g_x, out=g_x)
+    g_x = r (g gain - y mean(g gain y)), the mean a mat-vec with the gain."""
+    gy = g * y  # also the gain's cotangent rows
+    mean = (_rows(gy) @ gain).reshape(r.shape) / gain.shape[-1]
+    g_x = g * gain
+    g_x -= y * mean
     g_x *= r
-    return g_x, _rows(g * y).sum(axis=0)
+    return g_x, _rows(gy).sum(axis=0)
 
 
 def rmsnorm(x: Tensor, params: RmsNormParams) -> Tensor:
@@ -228,10 +233,11 @@ class AlibiParams:
             add(mul(Tensor(eye), self.b_self), mul(Tensor(1.0 - eye), self.b_cross)),
         )
 
-    def bias_rows(self, start: int, n: int) -> np.ndarray:
-        """Rows start <= i < n of the bias_matrix values, in plain numpy."""
+    def bias_rows(self, start: int, n: int, b_self, b_cross) -> np.ndarray:
+        """Rows start <= i < n of the bias_matrix values at the offset
+        values b_self and b_cross, in plain numpy."""
         eye = np.eye(n - start, n, k=start)
-        offsets = eye * self.b_self.data + (1.0 - eye) * self.b_cross.data
+        offsets = eye * b_self + (1.0 - eye) * b_cross
         return self.distance_bias(n, start) + offsets
 
     def offset_grads(self, g_bias: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -479,39 +485,41 @@ def cem_attention_states(h: Tensor, params: CemAttentionParams):
         _check_width("kq diagonal", params.diag.shape[1:], (d,))
     if params.inner_norm is not None:
         _check_width("inner norm gain", params.inner_norm.gain.shape, (d,))
-    tiles = _query_tiles(n, params.alibi)
+    alibi = params.alibi
+    offsets = None if alibi is None else (alibi.b_self.data, alibi.b_cross.data)
+    tiles = _query_tiles(n, alibi, offsets)  # each step's VJP rebuilds its constants at offsets
     kv = matmul(_with_head_axis(h), swap_last2(params.w_k))  # (..., K, J, D_r)
     w_out = params.w_q if params.precond is None else apply_preconditioner(params.w_q, params.precond)
     x = h
     for _ in range(params.steps):
-        x = _attention_step(x, h, kv, w_out, tiles, params)
+        x = _attention_step(x, h, kv, w_out, tiles, offsets, params)
         yield x
 
 
 QUERY_TILE = 64  # query rows per attention tile; at J = 256, 32 ran no faster, 128 slower
 
 
-def _query_tiles(n: int, alibi: AlibiParams | None) -> list[tuple[int, int, np.ndarray]]:
-    """Query tiles (s0, s1, const) of QUERY_TILE rows over a length-n sequence.
-
-    Tile rows s0 <= i < s1 see keys j < s1 only; const is their additive
-    logit constant, the causal mask plus, with ALiBi, the (K, s1 - s0, s1)
-    bias rows. Folding the mask into the bias changes no bit of the
-    logits, because (x + b) + m == x + (b + m) for m in {0, -inf}.
-    """
+def _query_tiles(n: int, alibi: AlibiParams | None, offsets) -> list[tuple[int, int, np.ndarray]]:
+    """Query tiles (s0, s1, const) of QUERY_TILE rows over a length-n
+    sequence, const each tile's _tile_const at the ALiBi offset values."""
     if n < 1:
         raise DomainError("attention needs a sequence of length >= 1")
-    tiles = []
-    for s0 in range(0, n, QUERY_TILE):
-        s1 = min(s0 + QUERY_TILE, n)
-        const = causal_mask(s1, start=s0)
-        if alibi is not None:
-            const = alibi.bias_rows(s0, s1) + const
-        tiles.append((s0, s1, const))
-    return tiles
+    bounds = [(s0, min(s0 + QUERY_TILE, n)) for s0 in range(0, n, QUERY_TILE)]
+    return [(s0, s1, _tile_const(s0, s1, alibi, offsets)) for s0, s1 in bounds]
 
 
-def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
+def _tile_const(s0: int, s1: int, alibi: AlibiParams | None, offsets) -> np.ndarray:
+    """The logit constant of query rows s0 <= i < s1 against keys j < s1:
+    the causal mask plus, with ALiBi, the (K, s1 - s0, s1) bias rows at
+    offsets = (b_self, b_cross). Folding the mask into the bias changes no
+    bit of the logits: (x + b) + m == x + (b + m) for m in {0, -inf}."""
+    const = causal_mask(s1, start=s0)
+    if alibi is not None:
+        const = alibi.bias_rows(s0, s1, *offsets) + const
+    return const
+
+
+def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles, offsets,
                     params: CemAttentionParams) -> Tensor:
     """x + eta * sum_k (softmax_k kv_k) w_out,k as one tape node, where
     w_out,k = w_q,k P_k is the read-out weight cem_attention folded.
@@ -525,7 +533,10 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
     is the projection into the heads. 1/tau is folded once into the
     query weights and the K/Q diagonal rather than scaling every tile's
     logits, and each tile's logits take the tile constant and the
-    softmax in place, since nothing else reads them.
+    exponential in place; each head normalises its read-out, exp(l - m)
+    @ kv / sum, not its probabilities. On the tape it also stores lse =
+    m + log(sum), and the VJP rebuilds the tile's constant and logits and
+    takes the probabilities as exp(l - lse), the forward's to rounding.
     The folds round differently from the composed layer in
     tests/composed_reference.py, which scales the logits and
     preconditions each head's token rows, so the two agree to rounding,
@@ -544,7 +555,7 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
         parents.append(norm.gain)
     if isinstance(params.eta, Tensor):
         parents.append(params.eta)
-    keep = recording(parents)  # off the tape, each tile's softmax dies with the tile
+    keep = recording(parents)  # only then is the log-sum-exp stored
 
     xd, hd, w_q, kvd = x.data, h.data, params.w_q.data, kv.data
     w_cat = w_out.data.reshape(-1, w_q.shape[2])  # every head side by side: (K*D_r, D_h)
@@ -554,28 +565,35 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
     n_diag = 0 if diag is None else diag.shape[0]  # one row shared, or one per head
     diag_t = None if diag is None else diag.data * inv_tau
     qs = (u @ w_qt.T).reshape(u.shape[:-1] + heads)  # (..., J, K, D_r)
-    reads = np.empty(qs.shape)
-    probs = []  # per tile, each head's softmax, for the VJP
-    for s0, s1, const in tiles:
-        u_t, h_tt = u[..., s0:s1, :], h_t[..., :s1]
-        diag_logits = [(u_t * diag_t[i]) @ h_tt for i in range(n_diag)]
-        tile = []
+
+    def tile_logits(s0, s1, const, uds):
+        """(k, kv_k, logits) for each head k of query tile [s0, s1), given
+        the tile's diagonal-scaled states uds; logits is a fresh array."""
+        diag_logits = [ud @ h_t[..., :s1] for ud in uds]
         for k in range(heads[0]):
             kv_k = kvd[..., k, :s1, :]
             logits = qs[..., s0:s1, k, :] @ np.swapaxes(kv_k, -1, -2)
             if n_diag:
                 logits += diag_logits[k % n_diag]
             logits += const if alibi is None else const[k]
-            p = softmax_forward(logits)  # in place: p is the logits array
-            np.matmul(p, kv_k, out=reads[..., s0:s1, k, :])
+            yield k, kv_k, logits
+
+    reads = np.empty(qs.shape)
+    lse = np.empty(qs.shape[:-1]) if keep else None  # (..., J, K)
+    for s0, s1, const in tiles:
+        uds = [u[..., s0:s1, :] * diag_t[i] for i in range(n_diag)]
+        for k, kv_k, logits in tile_logits(s0, s1, const, uds):
+            e, m, total = exp_shifted(logits)  # in place: e is the logits array
+            read = np.matmul(e, kv_k, out=reads[..., s0:s1, k, :])
+            read /= total
             if keep:
-                tile.append(p)
-        probs.append(tile)
+                lse[..., s0:s1, k] = (m + np.log(total))[..., 0]
     reads = reads.reshape(u.shape[:-1] + (-1,))  # (..., J, K*D_r)
     upd = reads @ w_cat
     # only a learnable eta's cotangent reads upd; otherwise it becomes out
     out = upd * eta if isinstance(params.eta, Tensor) else np.multiply(upd, eta, out=upd)
     out += xd  # xd + upd * eta: addition commutes exactly
+    bounds = [(s0, s1) for s0, s1, _ in tiles]  # the VJP keeps no tile constant
 
     def vjp(c):
         u = _rebuilt_state(xd, saved)
@@ -592,30 +610,32 @@ def _attention_step(x: Tensor, h: Tensor, kv: Tensor, w_out: Tensor, tiles,
         g_kv = np.zeros_like(kvd)
         g_uds = [np.empty(u.shape) for _ in range(n_diag)]
         g_h = np.zeros_like(hd) if n_diag else None
-        for (s0, s1, _), tile in zip(tiles, probs):
-            u_t, h_tt = u[..., s0:s1, :], hd[..., :s1, :]
-            g_diag_logits = [None] * n_diag  # per row, summed over its heads
-            for k, p in enumerate(tile):
-                kv_k = kvd[..., k, :s1, :]
+        n_sums = n_diag or int(alibi is not None)  # logit cotangents summed per diagonal row
+        for s0, s1 in bounds:
+            uds = [u[..., s0:s1, :] * diag_t[i] for i in range(n_diag)]
+            g_sums = [None] * n_sums
+            for k, kv_k, p in tile_logits(s0, s1, _tile_const(s0, s1, alibi, offsets), uds):
+                p -= lse[..., s0:s1, k, None]
+                np.exp(p, out=p)  # the forward's softmax, to rounding
                 g_read = g_reads[..., s0:s1, k, :]
                 g_logits = softmax_vjp(g_read @ np.swapaxes(kv_k, -1, -2), p)
-                if alibi is not None:
-                    g_self, g_cross = alibi.offset_grads(g_logits, s0)
-                    grads.add(alibi.b_self, g_self)
-                    grads.add(alibi.b_cross, g_cross)
                 np.matmul(g_logits, kv_k, out=g_qs[..., s0:s1, k, :])
                 g_kv_k = g_kv[..., k, :s1, :]
                 g_kv_k += np.swapaxes(p, -1, -2) @ g_read
                 g_kv_k += np.swapaxes(g_logits, -1, -2) @ qs[..., s0:s1, k, :]
-                if n_diag:
-                    i = k % n_diag
-                    if g_diag_logits[i] is None:
-                        g_diag_logits[i] = g_logits
+                if n_sums:
+                    i = k % n_sums
+                    if g_sums[i] is None:
+                        g_sums[i] = g_logits
                     else:
-                        g_diag_logits[i] += g_logits
-            for i, g_dl in enumerate(g_diag_logits):
-                np.matmul(g_dl, h_tt, out=g_uds[i][..., s0:s1, :])
-                g_h[..., :s1, :] += np.swapaxes(g_dl, -1, -2) @ (u_t * diag_t[i])
+                        g_sums[i] += g_logits
+            if alibi is not None:  # the offsets' cotangents, once per tile over all heads
+                g_self, g_cross = alibi.offset_grads(sum(g_sums[1:], g_sums[0]), s0)
+                grads.add(alibi.b_self, g_self)
+                grads.add(alibi.b_cross, g_cross)
+            for i, ud in enumerate(uds):
+                np.matmul(g_sums[i], hd[..., :s1, :], out=g_uds[i][..., s0:s1, :])
+                g_h[..., :s1, :] += np.swapaxes(g_sums[i], -1, -2) @ ud
         g_qs = g_qs.reshape(reads.shape)
         g_wq = _outer_rows(g_qs, u).reshape(w_q.shape)
         g_wq *= inv_tau

@@ -457,13 +457,21 @@ def softmax_forward(z: np.ndarray) -> np.ndarray:
     has no valid distribution and raises DomainError rather than
     returning NaN.
     """
+    z, _, total = exp_shifted(z)
+    z /= total
+    return z
+
+
+def exp_shifted(z: np.ndarray):
+    """(e, m, sum) along the last axis: m each row's max, e = exp(z - m)
+    written over z, sum its row sums, so that m + log(sum) is the
+    log-sum-exp. Rows softmax_forward would reject raise DomainError."""
     m = np.max(z, axis=-1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise DomainError("softmax row is fully masked or non-finite")
     z -= m
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    return z, m, z.sum(axis=-1, keepdims=True)
 
 
 def softmax_vjp(g: np.ndarray, out: np.ndarray) -> np.ndarray:

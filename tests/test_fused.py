@@ -283,23 +283,58 @@ def test_preconditioners_never_see_a_token_row(steps, monkeypatch):
 
 
 def test_lm_smoke_training_step_peak_memory():
-    # 34.6 MB. Each MLP step keeping z = silu(a) and m = gate z beside a
-    # and s, and both fused steps keeping u = y gain beside y, took 44.0;
-    # keeping each head's (8, 64, 64) preconditioner input for the
-    # attention VJP, and each step's update apart from its output, 52.7;
-    # add and sub keeping their operands, not just their shapes, 47.4
+    # 30.2 MB. Each attention step keeping its softmax probabilities
+    # rather than one log-sum-exp per row took 34.6; each MLP step keeping
+    # z = silu(a) and m = gate z beside a and s, and both fused steps
+    # keeping u = y gain beside y, 44.0; keeping each head's (8, 64, 64)
+    # preconditioner input for the attention VJP, and each step's update
+    # apart from its output, 52.7; add and sub keeping their operands, not
+    # just their shapes, 47.4
     model = lm_smoke()
     windows = np.random.default_rng(4).integers(0, 256, size=(8, 65))
-    assert traced_peak(lambda: tape_step(model, windows)) < 40e6
+    assert traced_peak(lambda: tape_step(model, windows)) < 33e6
 
 
 def test_lm_smoke_training_step_peak_memory_at_eight_steps():
-    # 91.8 MB, about 10 MB per recursion step past the first: every step's
-    # node keeps its intermediates until the backward. Keeping z, m and u
-    # as well took 132.7
+    # 75.0 MB, about 7.5 MB per recursion step past the first: every
+    # step's node keeps its intermediates until the backward. Keeping each
+    # attention step's probabilities took 91.7; keeping z, m and u as
+    # well, 132.7
     model = lm_smoke(steps=8)
     windows = np.random.default_rng(4).integers(0, 256, size=(8, 65))
-    assert traced_peak(lambda: tape_step(model, windows)) < 100e6
+    assert traced_peak(lambda: tape_step(model, windows)) < 80e6
+
+
+def test_lm_smoke_long_window_training_step_peak_memory():
+    # 58.6 MB over 4 windows of 256 tokens. Keeping each attention step's
+    # probabilities, about B K J^2 / 2 floats, and the ALiBi tile
+    # constants until the backward took 82.1
+    model = lm_smoke()
+    windows = np.random.default_rng(4).integers(0, 256, size=(4, 257))
+    assert traced_peak(lambda: tape_step(model, windows)) < 64e6
+
+
+def test_taped_attention_retains_memory_linear_in_sequence_length():
+    # each step's node keeps qs, the read-outs and one log-sum-exp per
+    # row and head: 1.32 MB at J = 256 and 2.52 at J = 512, 1.9 times.
+    # Keeping each tile's probabilities and the tile constants read 5.25
+    # and 16.66 MB, 3.2 times
+    attn = lm_smoke().blocks[0].attn
+    rng = np.random.default_rng(5)
+
+    def retained(n):
+        h = Tensor(rng.normal(size=(n, _width(attn))))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                tape.watch(h, *named_tensors(attn).values())
+                out = ly.cem_attention(h, attn)
+            assert out.node is not None
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert retained(512) <= 2.2 * retained(256)
 
 
 def test_lm_smoke_train_loop_with_eval_peak_memory():
@@ -360,6 +395,53 @@ def test_fused_steps_use_the_inner_norm_gain_of_the_forward(layer_fn, sublayer):
     got = grads(gain.data + 1.0)
     for w, g in zip(want, got):
         assert g.tobytes() == w.tobytes()
+
+
+def _attention_grads(params, h, cotangent, at_backward=None):
+    """Gradients of <cem_attention(h), cotangent> for h and the ALiBi
+    offsets; at_backward, if given, sets the offsets' data between the
+    forward and the backward."""
+    alibi = params.alibi
+    h = Tensor(h)
+    with Tape() as tape:
+        tape.watch(h, alibi.b_self, alibi.b_cross)
+        loss = tsum(mul(ly.cem_attention(h, params), Tensor(cotangent)))
+    forward = alibi.b_self.data, alibi.b_cross.data
+    if at_backward is not None:
+        alibi.b_self.data, alibi.b_cross.data = at_backward
+    try:
+        got = tape.backward(loss)
+    finally:
+        alibi.b_self.data, alibi.b_cross.data = forward
+    return [got[t].data for t in (h, alibi.b_self, alibi.b_cross)]
+
+
+@pytest.mark.parametrize("tile", [2, ly.QUERY_TILE])
+def test_fused_attention_uses_the_alibi_offsets_of_the_forward(tile, monkeypatch):
+    # the VJP rebuilds each tile's logit constant from the offsets read at
+    # forward time, as it rebuilds the probabilities from the forward's lse
+    monkeypatch.setattr(ly, "QUERY_TILE", tile)
+    params = attention_params(16, alibi=True, kq_diag="per-head", attn_steps=2, **FULL)
+    rng = np.random.default_rng(16)
+    params.alibi.b_self.data, params.alibi.b_cross.data = np.array(0.3), np.array(-0.4)
+    h, cotangent = rng.normal(size=(2, 5, _width(params))), rng.normal(size=(2, 5, _width(params)))
+    want = _attention_grads(params, h, cotangent)
+    got = _attention_grads(params, h, cotangent, at_backward=(np.array(1.3), np.array(0.6)))
+    assert want[1] != 0.0 and want[2] != 0.0
+    for w, g in zip(want, got):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_fused_attention_offset_gradients_vanish_on_one_token():
+    # one key per row: the softmax is exactly 1 whatever the logit, and the
+    # rebuilt exp(l - lse) is exp(0), so both offsets get an exact zero
+    params = attention_params(17, alibi=True, kq_diag="shared", attn_steps=2, **FULL)
+    params.alibi.b_self.data, params.alibi.b_cross.data = np.array(0.3), np.array(-0.4)
+    rng = np.random.default_rng(17)
+    h, cotangent = rng.normal(size=(3, 1, _width(params))), rng.normal(size=(3, 1, _width(params)))
+    g_h, g_self, g_cross = _attention_grads(params, h, cotangent)
+    assert np.any(g_h != 0.0)
+    assert g_self == 0.0 and g_cross == 0.0
 
 
 def test_lm_smoke_backward_copies_at_most_one_gradient_per_parameter(monkeypatch):
